@@ -385,7 +385,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         }
     }
 
@@ -547,7 +547,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         let cmds = s.offer_round(&offer);
         let spec_launches: Vec<_> = cmds

@@ -71,14 +71,7 @@ pub struct RupamConfig {
     /// the stream job that produced it — the cold-DB control where a new
     /// tenant learns nothing from its predecessors.
     pub cross_job_db: bool,
-    /// Keep per-resource node rankings and per-round dispatcher state
-    /// incrementally (persistent ordered sets, `O(log n)` updates,
-    /// memoised DB lookups) instead of rebuilding and re-sorting from
-    /// scratch every offer round. Decision-identical to the rebuild
-    /// path — the audit layer cross-checks the two orderings every
-    /// round — so `false` exists only as the benchmark reference.
-    pub incremental_queues: bool,
-    /// How the incremental node-queue cache is sharded for parallel
+    /// How the persistent node-queue cache is sharded for parallel
     /// offer scoring: `0` = auto (one shard per rack when the cluster has
     /// more than one rack, otherwise unsharded), `n` = exactly
     /// `min(n, nodes)` fixed-size partitions. Decision-identical for
@@ -133,7 +126,6 @@ impl Default for RupamConfig {
             straggler_handling: true,
             spot_risk_penalty: 1.0,
             cross_job_db: true,
-            incremental_queues: true,
             shard_count: 0,
             allocation: AllocationPolicy::FifoBaseline,
             tenants: Vec::new(),

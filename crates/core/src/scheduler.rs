@@ -21,6 +21,7 @@ use rupam_simcore::Sym;
 use rupam_cluster::resources::ResourceKind;
 use rupam_cluster::{ClusterSpec, NodeId};
 use rupam_dag::app::{Application, Stage, StageId};
+use rupam_dag::TenantId;
 use rupam_exec::scheduler::{Command, OfferInput, Scheduler};
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
 use rupam_metrics::trace::LaunchReason;
@@ -45,8 +46,7 @@ pub struct RupamScheduler {
     stage_templates: HashMap<StageId, Sym>,
     min_node_mem: ByteSize,
     /// Persistent per-kind node rankings, kept in sync with the offer
-    /// snapshots instead of re-sorted every round (when
-    /// `cfg.incremental_queues`).
+    /// snapshots instead of re-sorted every round.
     node_cache: NodeQueueCache,
     /// Per-tenant quota-preemption cooldowns (tenant-aware runs only).
     preempt: PreemptState,
@@ -71,9 +71,6 @@ impl RupamScheduler {
         }
         if !cfg.cross_job_db {
             name.push_str("-colddb");
-        }
-        if !cfg.incremental_queues {
-            name.push_str("-rebuild");
         }
         match cfg.allocation {
             AllocationPolicy::FifoBaseline => {}
@@ -205,37 +202,16 @@ impl Scheduler for RupamScheduler {
             self.tm.note_tenants(&input.job_tenants);
         }
 
-        // 1. submit newly pending tasks to the TM queues. With the
-        //    `pending_fresh` warranty the full O(pending) scan collapses
-        //    to the listed tasks: anything unlisted is either already
-        //    queued with an unchanged view, or left the queues through
-        //    this scheduler's own commands. Fresh-but-queued tasks only
-        //    changed their view — refresh their classification without
-        //    re-ingesting (the full scan never re-ingests them either).
-        match &input.pending_fresh {
-            None => {
-                for view in &input.pending {
-                    if !self.tm.queues.contains(&view.task) {
-                        self.tm.requeue(view, input.now);
-                    }
-                }
-            }
-            Some(fresh) => {
-                for task in fresh {
-                    let Ok(i) = input.pending.binary_search_by(|p| {
-                        (p.task.stage, p.task.index).cmp(&(task.stage, task.index))
-                    }) else {
-                        continue;
-                    };
-                    let view = &input.pending[i];
-                    if !self.tm.queues.contains(task) {
-                        self.tm.requeue(view, input.now);
-                    } else {
-                        self.tm.reclassify_view(view);
-                    }
-                }
-            }
-        }
+        // 1. submit newly pending tasks to the TM queues: by the
+        //    `pending_fresh` warranty, anything unlisted is either already
+        //    queued with an unchanged view or left the queues through this
+        //    scheduler's own commands
+        self.tm.ingest_fresh(&input.pending, &input.pending_fresh);
+        debug_assert!(
+            input.pending.iter().all(|v| self.tm.is_current(v)),
+            "pending_fresh warranty broken: a pending task is unqueued or \
+             queued under a stale classification"
+        );
 
         let mut cmds = Vec::new();
 
@@ -273,8 +249,9 @@ impl Scheduler for RupamScheduler {
 
         // 2.5 tenant allocation: freeze the session snapshot, reclaim
         //     capacity from over-quota tenants, and compute the order
-        //     the Dispatcher serves tenants in this round
-        let order: Option<Vec<rupam_dag::TenantId>> = if tenant_aware {
+        //     the Dispatcher serves tenants in this round. The FIFO
+        //     baseline serves one shared scope.
+        let order: Vec<TenantId> = if tenant_aware {
             let tenant_count = input
                 .job_tenants
                 .iter()
@@ -282,62 +259,33 @@ impl Scheduler for RupamScheduler {
                 .max()
                 .unwrap_or(1)
                 .max(self.cfg.tenants.len());
-            let session = {
-                let tm = &self.tm;
-                AllocSession::snapshot(&self.cfg, input, tenant_count, &|stage| {
-                    tm.tenant_of_stage(stage)
-                })
-            };
-            {
-                let tm = &self.tm;
-                cmds.extend(quota_preemption_commands(
-                    &self.cfg,
-                    &session,
-                    &mut self.preempt,
-                    input,
-                    &|stage| tm.tenant_of_stage(stage),
-                ));
-            }
+            let tm = &self.tm;
+            let tenant_of = |stage| tm.tenant_of_stage(stage);
+            let session = AllocSession::snapshot(&self.cfg, input, tenant_count, &tenant_of);
+            cmds.extend(quota_preemption_commands(
+                &self.cfg,
+                &session,
+                &mut self.preempt,
+                input,
+                &tenant_of,
+            ));
             // over-quota tenants are skipped for the round: they are
             // surrendering capacity, not receiving more
-            Some(
-                session
-                    .order(self.cfg.allocation)
-                    .into_iter()
-                    .filter(|&t| !session.over_quota(t))
-                    .collect(),
-            )
+            session
+                .order(self.cfg.allocation)
+                .into_iter()
+                .filter(|&t| !session.over_quota(t))
+                .collect()
         } else {
-            None
+            vec![TenantId(0)]
         };
 
-        // 3. Algorithm 2 dispatch (gang stages first: all-or-nothing
-        //    co-residency, with failed plans held for the round)
-        if self.cfg.incremental_queues {
-            let mut dispatcher = Dispatcher::new_incremental(&self.cfg, input);
-            if self.cfg.gang_admission {
-                cmds.extend(dispatcher.admit_gangs(&mut self.tm));
-            }
-            match &order {
-                Some(order) => cmds.extend(dispatcher.dispatch_ordered_incremental(
-                    &mut self.tm,
-                    &mut self.node_cache,
-                    order,
-                )),
-                None => {
-                    cmds.extend(dispatcher.dispatch_incremental(&mut self.tm, &mut self.node_cache))
-                }
-            }
-        } else {
-            let mut dispatcher = Dispatcher::new(&self.cfg, input);
-            if self.cfg.gang_admission {
-                cmds.extend(dispatcher.admit_gangs(&mut self.tm));
-            }
-            match &order {
-                Some(order) => cmds.extend(dispatcher.dispatch_ordered(&mut self.tm, order)),
-                None => cmds.extend(dispatcher.dispatch(&mut self.tm)),
-            }
-        }
+        // 3. Algorithm 2 dispatch
+        cmds.extend(Dispatcher::new(&self.cfg, input).dispatch(
+            &mut self.tm,
+            &mut self.node_cache,
+            &order,
+        ));
 
         // 4. engine-flagged stragglers: relocate to the best node for
         //    the task's recorded bottleneck
@@ -411,12 +359,9 @@ impl Scheduler for RupamScheduler {
                 }
             }
         }
-        // The incremental rankings must match a from-scratch rebuild of
-        // the very snapshot they just dispatched from — this is the
-        // equivalence oracle for the O(log n) path.
-        if self.cfg.incremental_queues {
-            findings.extend(self.node_cache.verify(input.cluster, &input.nodes));
-        }
+        // The persistent rankings must match a from-scratch rebuild of
+        // the very snapshot they just dispatched from.
+        findings.extend(self.node_cache.verify(input.cluster, &input.nodes));
         findings
     }
 

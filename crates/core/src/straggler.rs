@@ -316,7 +316,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         let cmds = memory_straggler_commands(&cfg, &mut st, &input);
         assert_eq!(
@@ -342,7 +342,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         assert!(memory_straggler_commands(&cfg, &mut st, &input2).is_empty());
     }
@@ -366,7 +366,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         assert!(memory_straggler_commands(&cfg, &mut st, &input).is_empty());
     }
@@ -391,7 +391,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         let cmds = gpu_race_commands(&cfg, &mut st, &input, &tm);
         assert_eq!(cmds.len(), 1);
@@ -430,7 +430,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         assert!(gpu_race_commands(&cfg, &mut st, &input, &tm).is_empty());
     }
@@ -478,7 +478,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         assert!(
             resource_straggler_candidates(&cfg, &input, &tm).is_empty(),
@@ -496,7 +496,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         let out = resource_straggler_candidates(&cfg, &input, &tm);
         assert_eq!(out.len(), 1);
@@ -518,7 +518,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         let target = relocation_target(&input, ResourceKind::Cpu, NodeId(0)).unwrap();
         assert_ne!(target, NodeId(0));

@@ -165,7 +165,7 @@ proptest! {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: pending.iter().map(|p| p.task).collect(),
         };
         let cmds = if rupam_not_spark {
             let mut s = RupamScheduler::with_defaults();
@@ -201,12 +201,12 @@ proptest! {
             cluster: &cluster,
             app: &app,
             nodes: node_views(&cluster, &busy),
+            pending_fresh: pending.iter().map(|p| p.task).collect(),
             pending,
             speculatable: vec![],
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
         };
         let mut s = SparkScheduler::with_defaults();
         s.on_app_start(&app, &cluster);
@@ -245,12 +245,12 @@ proptest! {
             cluster: &cluster,
             app: &app,
             nodes: node_views(&cluster, &[]),
+            pending_fresh: pending.iter().map(|p| p.task).collect(),
             pending,
             speculatable: vec![],
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
         };
         let cfg = RupamConfig { overcommit_factor: overcommit, ..RupamConfig::default() };
         let mut s = RupamScheduler::new(cfg);
@@ -287,7 +287,7 @@ proptest! {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         };
         for rupam in [false, true] {
             let cmds = if rupam {

@@ -478,7 +478,7 @@ mod tests {
             job_arrivals: vec![SimTime::ZERO],
             job_tenants: vec![rupam_dag::TenantId(0)],
             changed: None,
-            pending_fresh: None,
+            pending_fresh: vec![],
         }
     }
 

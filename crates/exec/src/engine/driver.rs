@@ -25,7 +25,7 @@ use crate::scheduler::Scheduler;
 use super::events::{EngineEvent, EventBus, EventCtx};
 use super::state::{AttemptId, ClusterState};
 use super::{EngineError, SimInput, WORK_EPS};
-use crate::scheduler::NodeShadowTable;
+use crate::scheduler::{NodeShadowTable, PendingShadow};
 
 /// Calendar events the engine schedules for itself.
 #[derive(Clone, Copy, Debug)]
@@ -83,6 +83,9 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     /// Per-node snapshot of what the scheduler saw at the previous offer
     /// round, diffed each round into [`crate::scheduler::OfferInput::changed`].
     pub(crate) offer_shadow: NodeShadowTable,
+    /// Previous offer round's pending list and launches, diffed into
+    /// `OfferInput::pending_fresh`.
+    pub(crate) pending_shadow: PendingShadow,
     /// Reusable buffer for one round's heartbeat batch (storm batching:
     /// the monitor is patched once per round, not once per node).
     pub(crate) hb_scratch: Vec<HeartbeatSnapshot>,

@@ -375,6 +375,7 @@ pub(crate) fn assemble<'a, 's>(
         bus,
         round: 0,
         offer_shadow: crate::scheduler::NodeShadowTable::new(),
+        pending_shadow: crate::scheduler::PendingShadow::new(),
         hb_scratch: Vec::new(),
     }
 }

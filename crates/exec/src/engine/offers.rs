@@ -171,6 +171,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 });
             }
         }
+        self.pending_shadow.settle(offer.pending, &commands);
         for cmd in commands {
             self.apply_command(cmd);
         }
@@ -278,15 +279,12 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             cluster: self.input.cluster,
             app: self.input.app,
             nodes,
-            pending,
             speculatable,
             job_arrivals: self.state.jobs.iter().map(|j| j.arrival).collect(),
             job_tenants: self.state.jobs.iter().map(|j| j.tenant).collect(),
             changed,
-            // The sim engine rebuilds `pending` from scratch every round and
-            // offers no warranty about which tasks changed, so it always
-            // requests the full ingest path.
-            pending_fresh: None,
+            pending_fresh: self.pending_shadow.fresh(&pending),
+            pending,
         }
     }
 }

@@ -47,5 +47,6 @@ pub use engine::{
 };
 pub use rupam_metrics::trace::LaunchReason;
 pub use scheduler::{
-    Command, KillReason, NodeShadowTable, NodeView, OfferInput, PendingTaskView, Scheduler,
+    Command, KillReason, NodeShadowTable, NodeView, OfferInput, PendingShadow, PendingTaskView,
+    Scheduler,
 };

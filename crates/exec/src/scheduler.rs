@@ -21,7 +21,7 @@ use rupam_metrics::trace::LaunchReason;
 
 /// A summary of one running attempt, visible to schedulers (for RUPAM's
 /// memory-straggler detection and resource-aware speculation).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunningTaskView {
     /// The task being run.
     pub task: TaskRef,
@@ -36,7 +36,7 @@ pub struct RunningTaskView {
 }
 
 /// Read-only view of one node at offer time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeView {
     /// The node.
     pub node: NodeId,
@@ -88,7 +88,7 @@ impl NodeView {
 }
 
 /// One pending (launchable) task at offer time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PendingTaskView {
     /// The task.
     pub task: TaskRef,
@@ -181,18 +181,18 @@ pub struct OfferInput<'a> {
     pub changed: Option<Vec<NodeId>>,
     /// The task-side counterpart of [`changed`](Self::changed): the
     /// caller's warranty about how `pending` differs from the previous
-    /// offer round it gave this scheduler. `None` means "unknown —
-    /// rescan everything" (the sim engine rebuilds its pending list per
-    /// round and always passes `None`). A `Some` list is sorted by
-    /// `(stage, index)` and contains every task that (a) entered or
-    /// re-entered the pending set since the previous round, or (b) is
-    /// still pending but had its view change (placement preferences,
-    /// peak-memory hint). Tasks the *scheduler's own commands* launched
-    /// are exempt — the scheduler saw those leave. Schedulers may use
-    /// the list to ingest new work in `O(fresh)` and keep persistent
-    /// task-queue partitions instead of rescanning `O(pending)` per
-    /// round, but must decide identically either way.
-    pub pending_fresh: Option<Vec<TaskRef>>,
+    /// offer round it gave this scheduler. Sorted by `(stage, index)`,
+    /// it contains every pending task that (a) entered or re-entered the
+    /// pending set since the previous round, (b) is still pending but had
+    /// its view change (placement preferences, peak-memory hint, attempt
+    /// number), or (c) was named in a `Launch` of the previous round's
+    /// commands but is still pending (the producer dropped the launch).
+    /// It may list more. Schedulers ingest new work in `O(fresh)` and
+    /// keep persistent task queues instead of rescanning `O(pending)`
+    /// per round. The sim engine computes the list with
+    /// [`PendingShadow`]; the live serve driver tracks it from the
+    /// events it applies.
+    pub pending_fresh: Vec<TaskRef>,
 }
 
 /// What an offer-input producer saw of one node at the previous offer
@@ -274,6 +274,55 @@ impl NodeShadowTable {
             }
         }
         Some(delta)
+    }
+}
+
+/// The producer-side state behind [`OfferInput::pending_fresh`]: the
+/// previous round's pending list and the tasks that round's commands
+/// tried to launch. Diffing a round's pending list against it is one
+/// sorted merge-walk — exact by construction, with no per-event
+/// bookkeeping.
+#[derive(Default)]
+pub struct PendingShadow {
+    pending: Vec<PendingTaskView>,
+    launched: Vec<TaskRef>,
+}
+
+impl PendingShadow {
+    /// An empty shadow: the first round lists every pending task.
+    pub fn new() -> Self {
+        PendingShadow::default()
+    }
+
+    /// The fresh list for this round's `pending` (sorted by `(stage,
+    /// index)`): every task that was not pending at the previous round,
+    /// whose view differs from that round's, or that the previous
+    /// round's commands named in a `Launch`.
+    pub fn fresh(&self, pending: &[PendingTaskView]) -> Vec<TaskRef> {
+        let mut prev = self.pending.iter().peekable();
+        pending
+            .iter()
+            .filter(|v| {
+                while prev.next_if(|p| p.task < v.task).is_some() {}
+                prev.peek() != Some(v) || self.launched.binary_search(&v.task).is_ok()
+            })
+            .map(|v| v.task)
+            .collect()
+    }
+
+    /// Remember a finished round: the pending list it offered and the
+    /// commands the scheduler answered with.
+    pub fn settle(&mut self, pending: Vec<PendingTaskView>, commands: &[Command]) {
+        self.pending = pending;
+        self.launched = commands
+            .iter()
+            .filter_map(|c| match c {
+                Command::Launch { task, .. } => Some(*task),
+                Command::KillAndRequeue { .. } => None,
+            })
+            .collect();
+        self.launched.sort_unstable();
+        self.launched.dedup();
     }
 }
 
@@ -430,5 +479,41 @@ mod tests {
             Locality::NodeLocal
         );
         assert_eq!(view(vec![], vec![]).best_locality(), Locality::Any);
+    }
+
+    #[test]
+    fn pending_shadow_lists_new_changed_and_relaunch_candidates() {
+        let task = |i| TaskRef {
+            stage: StageId(0),
+            index: i,
+        };
+        let at = |i, hint_mib| PendingTaskView {
+            task: task(i),
+            peak_mem_hint: ByteSize::mib(hint_mib),
+            ..view(vec![], vec![])
+        };
+        let mut shadow = PendingShadow::new();
+        let round1 = vec![at(0, 1), at(1, 1), at(2, 1), at(3, 1)];
+        assert_eq!(
+            shadow.fresh(&round1),
+            vec![task(0), task(1), task(2), task(3)]
+        );
+        let launch = |i| Command::Launch {
+            task: task(i),
+            node: NodeId(0),
+            use_gpu: false,
+            speculative: false,
+            reason: LaunchReason::SafetyValve,
+        };
+        // 0 launched and left; 1's launch was dropped; 2 is unchanged;
+        // 3's view changed; 4 is new
+        shadow.settle(round1, &[launch(0), launch(1)]);
+        let round2 = vec![at(1, 1), at(2, 1), at(3, 9), at(4, 1)];
+        assert_eq!(shadow.fresh(&round2), vec![task(1), task(3), task(4)]);
+        shadow.settle(round2.clone(), &[]);
+        assert!(
+            shadow.fresh(&round2).is_empty(),
+            "a quiet round lists nothing"
+        );
     }
 }

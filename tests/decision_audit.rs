@@ -216,3 +216,64 @@ fn auditor_flags_a_corrupted_decision() {
         obs.violations
     );
 }
+
+/// An engine whose fresh list misses one task: mirrors the inner
+/// scheduler, but drops the last `pending_fresh` entry of the first
+/// round that has any.
+struct FreshDropper<S>(S, bool);
+
+impl<S: Scheduler> Scheduler for FreshDropper<S> {
+    fn name(&self) -> &str {
+        "fresh-dropper"
+    }
+    fn executor_memory(&self, cluster: &ClusterSpec, node: rupam_cluster::NodeId) -> ByteSize {
+        self.0.executor_memory(cluster, node)
+    }
+    fn on_app_start(&mut self, app: &Application, cluster: &ClusterSpec) {
+        self.0.on_app_start(app, cluster);
+    }
+    fn on_task_finished(&mut self, record: &TaskRecord, now: SimTime) {
+        self.0.on_task_finished(record, now);
+    }
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        if self.1 || input.pending_fresh.is_empty() {
+            return self.0.offer_round(input);
+        }
+        self.1 = true;
+        let mut fresh = input.pending_fresh.clone();
+        fresh.pop();
+        self.0.offer_round(&OfferInput {
+            now: input.now,
+            cluster: input.cluster,
+            app: input.app,
+            nodes: input.nodes.clone(),
+            pending: input.pending.clone(),
+            speculatable: input.speculatable.clone(),
+            job_arrivals: input.job_arrivals.clone(),
+            job_tenants: input.job_tenants.clone(),
+            changed: input.changed.clone(),
+            pending_fresh: fresh,
+        })
+    }
+}
+
+/// Meta-test: the fresh-list warranty check is not a rubber stamp — an
+/// engine that forgets one newly pending task must trip it (debug
+/// builds, where the check runs every round).
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "pending_fresh warranty broken")]
+fn dropped_fresh_entry_trips_the_warranty_check() {
+    let cluster = ClusterSpec::hydra();
+    let (app, layout) = Workload::TeraSort.build(&cluster, &RngFactory::new(7));
+    let config = SimConfig::default();
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &config,
+        seed: 7,
+    };
+    let mut sched = FreshDropper(rupam::RupamScheduler::with_defaults(), false);
+    simulate_observed(&input, &mut sched, &SimOptions::default());
+}
