@@ -8,7 +8,10 @@
 //! DRF, and weighted-fair with a quota under the fault script), gang
 //! admission, a homogeneous cluster, the multi-rack 64- and 256-node
 //! shapes whose node rankings are bound-pruned across rack shards, and
-//! a second chaos seed across three workloads. The committed golden file
+//! a second chaos seed across three workloads. A third block pins the
+//! elastic spot tier: CI's elastic smoke stream with and without the
+//! fault script, and the contended spot-tail burst under the `greedy`
+//! and `on-demand-fallback` policies. The committed golden file
 //! (`tests/golden_trace_digests.txt`) pins the decision stream of the
 //! tenant-aware engine (`v2`: trace events carry tenants); any refactor
 //! of the engine, bus, or schedulers that changes a single decision (or
@@ -23,6 +26,7 @@ use std::fmt::Write as _;
 
 use rupam::{AllocationPolicy, RupamConfig, TenantSpec};
 use rupam_cluster::ClusterSpec;
+use rupam_elastic::{ElasticConfig, SpotPolicy};
 use rupam_exec::{SimConfig, SimOptions};
 use rupam_faults::FaultScript;
 use rupam_workloads::Workload;
@@ -31,10 +35,13 @@ use crate::harness::{
     run_stream_observed, run_stream_observed_cfg, run_workload_observed_cfg, Sched,
 };
 use crate::multitenant::{build_stream, MEAN_GAP_SECS, TENANTS};
+use crate::spot;
 
 /// The chaos script shipped at the repository root, embedded so the
 /// gate needs no working-directory assumptions.
 const CHAOS_SMOKE_TOML: &str = include_str!("../../../chaos-smoke.toml");
+/// The elasticity script shipped at the repository root.
+const SPOT_SMOKE_TOML: &str = include_str!("../../../spot-smoke.toml");
 
 /// Seed for the per-workload suite runs (matches
 /// `tests/incremental_equivalence.rs`).
@@ -49,6 +56,11 @@ const GANG_SEED: u64 = 101;
 /// Seed for the multi-workload chaos scenarios (matches
 /// `tests/fault_recovery.rs`).
 const FAULT_SEED: u64 = 303;
+/// Seed of CI's elastic smoke (`rupam-sim`'s default seed).
+const ELASTIC_SMOKE_SEED: u64 = 101;
+/// Seed for the contended spot-tail burst (matches
+/// `tests/elastic_capacity.rs`).
+const SPOT_SEED: u64 = 404;
 
 /// Digest-only observation: every event hashed, nothing retained.
 fn digest_opts() -> SimOptions {
@@ -112,6 +124,66 @@ pub fn compute() -> Vec<(String, u64)> {
         ));
     }
     out.extend(compute_rupam_paths(&stream, &chaos_cfg));
+    out.extend(compute_elastic_paths(&chaos_cfg));
+    out
+}
+
+/// The elastic spot tier: CI's elastic smoke (`rupam-sim --jobs 4
+/// --arrival-secs 5 --workload TeraSort --elastic spot-smoke.toml`,
+/// with and without `--faults chaos-smoke.toml`) and the contended
+/// spot-tail burst under two procurement policies.
+fn compute_elastic_paths(chaos_cfg: &SimConfig) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let cluster = ClusterSpec::hydra();
+    let elastic = ElasticConfig::parse_toml(SPOT_SMOKE_TOML).expect("committed spot script parses");
+    // `--jobs 4 --workload TeraSort` cycles the suite from TeraSort
+    let start = Workload::ALL
+        .iter()
+        .position(|&w| w == Workload::TeraSort)
+        .expect("TeraSort is in the suite");
+    let workloads: Vec<Workload> = (0..4)
+        .map(|i| Workload::ALL[(start + i) % Workload::ALL.len()])
+        .collect();
+    let smoke = build_stream(&cluster, &workloads, 5.0, ELASTIC_SMOKE_SEED);
+    for (name, faults) in [
+        ("elastic", SimConfig::default()),
+        ("elastic-chaos", chaos_cfg.clone()),
+    ] {
+        let config = SimConfig {
+            elastic: elastic.clone(),
+            ..faults
+        };
+        let (_, obs) = run_stream_observed_cfg(
+            &cluster,
+            &smoke,
+            &Sched::Rupam,
+            ELASTIC_SMOKE_SEED,
+            &digest_opts(),
+            &config,
+        );
+        out.push((
+            format!("{name}/hydra/smoke4/RUPAM"),
+            obs.trace.expect("digest-only trace requested").digest(),
+        ));
+    }
+    let stream = spot::burst(&cluster, SPOT_SEED);
+    for policy in [SpotPolicy::Greedy, SpotPolicy::OnDemandFallback] {
+        let (_, obs) = run_stream_observed_cfg(
+            &cluster,
+            &stream,
+            &Sched::Rupam,
+            SPOT_SEED,
+            &digest_opts(),
+            &spot::churn_config(policy),
+        );
+        out.push((
+            format!(
+                "elastic/hydra/spot-tail/{}/RUPAM/s{SPOT_SEED}",
+                policy.code()
+            ),
+            obs.trace.expect("digest-only trace requested").digest(),
+        ));
+    }
     out
 }
 
@@ -323,7 +395,7 @@ mod tests {
     #[test]
     fn golden_file_parses_and_pins_by_name() {
         let all = parse(GOLDEN).expect("committed golden file parses");
-        assert!(all.len() >= 70);
+        assert!(all.len() >= 74);
         let (name, d) = &all[0];
         assert_eq!(pinned(name), Some(*d));
         assert_eq!(pinned("no/such/scenario"), None);

@@ -50,13 +50,21 @@ pub const POLICIES: [SpotPolicy; 3] = [
 /// volatile spot pool, scaling up on any backlog and churning hard
 /// enough that placement choices are actually exposed to preemptions.
 pub fn spot_config(policy: SpotPolicy) -> SimConfig {
+    let mut config = churn_config(policy);
+    config.elastic.pools[0].preempt_slope = 0.5;
+    config
+}
+
+/// The same pool at the stock preemption slope, so drains come mostly
+/// from the base rate rather than price spikes: the elastic integration
+/// tests' churn script and a digest-gate row.
+pub fn churn_config(policy: SpotPolicy) -> SimConfig {
     let mut elastic = ElasticConfig::spot_tail(12, 4, policy);
     elastic.check_secs = 2.0;
     elastic.scale_up_backlog = 0.0;
     elastic.scale_down_idle_secs = 10.0;
     elastic.pools[0].volatility = 0.08;
     elastic.pools[0].preempt_base = 0.02;
-    elastic.pools[0].preempt_slope = 0.5;
     SimConfig::with_elastic(elastic)
 }
 

@@ -14,7 +14,7 @@
 //!   live on a dedicated RNG stream keyed by the run seed.
 
 use rupam::config::RupamConfig;
-use rupam_bench::multitenant::build_stream;
+use rupam_bench::spot::{burst, churn_config};
 use rupam_bench::{
     run_stream_observed_cfg, run_workload_cfg, run_workload_observed, run_workload_observed_cfg,
     Sched,
@@ -39,36 +39,6 @@ fn committed_smoke_script_parses() {
     let members: Vec<usize> = cfg.pools[0].nodes.iter().map(|n| n.index()).collect();
     assert_eq!(members, vec![8, 9, 10, 11]);
     assert!(!cfg.is_empty());
-}
-
-/// A contended spot-tail scenario: a burst of jobs arriving close
-/// together on hydra, with the four weakest nodes in a cheap, churning
-/// spot pool that scales up on any backlog at all.
-fn churny_config() -> SimConfig {
-    let mut elastic = ElasticConfig::spot_tail(12, 4, SpotPolicy::Greedy);
-    elastic.check_secs = 2.0;
-    elastic.scale_up_backlog = 0.0;
-    elastic.scale_down_idle_secs = 10.0;
-    elastic.pools[0].preempt_base = 0.02;
-    elastic.pools[0].volatility = 0.08;
-    SimConfig::with_elastic(elastic)
-}
-
-/// A job burst dense enough to leave pending tasks at check instants.
-fn churny_stream(cluster: &ClusterSpec, seed: u64) -> rupam_dag::MergedStream {
-    build_stream(
-        cluster,
-        &[
-            Workload::TeraSort,
-            Workload::Sql,
-            Workload::PageRank,
-            Workload::KMeans,
-            Workload::TeraSort,
-            Workload::TriangleCount,
-        ],
-        2.0,
-        seed,
-    )
 }
 
 /// Empty script ⇒ the elastic layer never constructs a controller,
@@ -149,8 +119,10 @@ fn risk_penalty_is_a_noop_without_spot_pools() {
 #[test]
 fn elastic_churn_is_seed_deterministic() {
     let cluster = ClusterSpec::hydra();
-    let config = churny_config();
-    let stream = churny_stream(&cluster, 404);
+    // a contended spot-tail burst: jobs arriving ~2 s apart, the four
+    // weakest nodes in a cheap churning pool that scales up on any backlog
+    let config = churn_config(SpotPolicy::Greedy);
+    let stream = burst(&cluster, 404);
     let run = |seed: u64| {
         run_stream_observed_cfg(
             &cluster,
@@ -187,12 +159,12 @@ fn elastic_churn_is_seed_deterministic() {
 #[test]
 fn preemption_churn_loses_no_tasks() {
     let cluster = ClusterSpec::hydra();
-    let mut config = churny_config();
+    let mut config = churn_config(SpotPolicy::Greedy);
     // push preemptions hard: every check preempts ~each active spot
     // node with 20 % probability
     config.elastic.pools[0].preempt_base = 0.2;
     config.elastic.pools[0].notice_secs = 2.0;
-    let stream = churny_stream(&cluster, 505);
+    let stream = burst(&cluster, 505);
     let (report, _) = run_stream_observed_cfg(
         &cluster,
         &stream,
