@@ -82,11 +82,22 @@ pub struct MemConfig {
     pub executor_kill_ratio: f64,
     /// Time to restart a lost executor JVM.
     pub jvm_restart: SimDuration,
-    /// Attempts per task before the application aborts
-    /// (`spark.task.maxFailures` is 4; we keep runs alive longer so that
+    /// Retries per task before the application aborts: a task may run
+    /// `max_retries + 1` attempts, and the run aborts when the last of
+    /// them fails (see [`MemConfig::retries_exhausted`]).
+    /// `spark.task.maxFailures` is 4; we keep runs alive longer so that
     /// "fails and recovers" — the paper's PR-under-Spark behaviour —
-    /// dominates over hard aborts).
+    /// dominates over hard aborts.
     pub max_retries: u32,
+}
+
+impl MemConfig {
+    /// Whether a task whose attempt just failed has used up its retries,
+    /// given the attempt number `next` it would run as. The one retry
+    /// rule of the sim engine and the serve driver alike.
+    pub fn retries_exhausted(&self, next: u32) -> bool {
+        next > self.max_retries
+    }
 }
 
 impl Default for MemConfig {
@@ -183,6 +194,18 @@ mod tests {
         assert_eq!(c.mem.os_reserved, ByteSize::gib(2));
         assert!(c.mem.executor_kill_ratio > 1.0);
         assert!(c.mem.oom_check_min < c.mem.oom_check_max);
+    }
+
+    #[test]
+    fn retry_limit_allows_max_retries_plus_one_attempts() {
+        let mem = MemConfig {
+            max_retries: 2,
+            ..MemConfig::default()
+        };
+        // attempts 0, 1 and 2 may run; failing attempt 2 exhausts
+        assert!(!mem.retries_exhausted(1));
+        assert!(!mem.retries_exhausted(2));
+        assert!(mem.retries_exhausted(3));
     }
 
     #[test]

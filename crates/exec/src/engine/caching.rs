@@ -15,7 +15,6 @@ use rupam_simcore::units::ByteSize;
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
-use super::REDUCER_PREF_FRACTION;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Executor-cache keys are scoped per stream job: Spark RDD caches
@@ -57,29 +56,10 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                     .collect();
                 (cached, self.input.layout.block(*fallback).replicas.clone())
             }
-            InputSource::Shuffle => {
-                let parents = &self.input.app.stage(stage).parents;
-                let mut per_node = vec![0.0f64; self.state.nodes.len()];
-                let mut total = 0.0f64;
-                for p in parents {
-                    let prt = &self.state.stages[p.index()];
-                    for (i, b) in prt.map_out_per_node.iter().enumerate() {
-                        per_node[i] += b;
-                    }
-                    total += prt.map_out_total;
-                }
-                let node_local = if total > 0.0 {
-                    per_node
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &b)| b / total >= REDUCER_PREF_FRACTION)
-                        .map(|(i, _)| NodeId(i))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                (Vec::new(), node_local)
-            }
+            InputSource::Shuffle => (
+                Vec::new(),
+                self.state.outputs.node_local(self.input.app, stage),
+            ),
             InputSource::Generated => (Vec::new(), Vec::new()),
         }
     }

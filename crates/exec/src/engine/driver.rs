@@ -60,12 +60,10 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     /// Fault-subsystem draws (flaky-OOM coin flips) come from their own
     /// stream so healthy-path draws from `rng_fail` are untouched.
     pub(crate) rng_faults: StdRng,
-    /// Elastic-subsystem draws (spot-price noise, preemption coin flips)
-    /// come from their own stream for the same reason: an empty
-    /// elasticity script leaves every other stream byte-identical.
-    pub(crate) rng_elastic: StdRng,
     /// Capacity-controller runtime; `None` unless the run has spot pools
-    /// (strict no-op guarantee).
+    /// (strict no-op guarantee). Its draws (spot-price noise, preemption
+    /// coin flips) come from their own `engine/elastic` stream, so an
+    /// empty elasticity script leaves every other stream byte-identical.
     pub(crate) elastic: Option<super::elastic::ElasticRt>,
     /// The RM's heartbeat failure detector; `None` unless the run has a
     /// non-empty chaos script (strict no-op guarantee).

@@ -3,92 +3,45 @@
 //! Runs off the periodic [`Event::ElasticCheck`] calendar event (absent
 //! without spot pools — the strict no-op guarantee mirrors the fault
 //! subsystem's). Each check accrues per-node-second cost at the prices
-//! held since the previous check, advances every pool's
-//! [`SpotPriceProcess`] on the dedicated `engine/elastic` RNG stream,
-//! asks the configured [`rupam_elastic::ScalingPolicy`] for per-pool
-//! targets, provisions/decommissions spot nodes to meet them, and draws
-//! price-correlated preemptions. Preempted nodes get a drain notice
+//! held since the previous check, then runs the shared
+//! [`rupam_elastic::Controller`] (price steps on the dedicated
+//! `engine/elastic` RNG stream, per-pool scaling targets,
+//! price-correlated preemption draws) and applies its actions. What is
+//! engine-specific is how: provisioning latency, cost accrual, and
+//! [`Event::PreemptFire`] events. Preempted nodes get a drain notice
 //! ([`EngineEvent::PreemptionNotice`]) and are then reclaimed through
 //! the same node-loss path scripted crashes use — running attempts are
 //! killed and re-pended, lineage recompute re-pends lost map outputs,
 //! so no task is ever silently lost to churn.
-//!
-//! Determinism: the price path is a pure function of `(seed, pool
-//! order, check count)`, and preemption draws are made for *every* pool
-//! slot each check (applied only to active nodes), so the draw sequence
-//! never depends on what the scheduler placed where.
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
-use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
-use rupam_elastic::{DemandView, ElasticConfig, PoolView, SpotPriceProcess};
+use rupam_cluster::{ClusterSpec, NodeId};
+use rupam_elastic::{Controller, ElasticConfig, FleetNode, ScalingAction};
 use rupam_metrics::report::CostSummary;
 use rupam_simcore::source::EventSource;
 use rupam_simcore::time::{SimDuration, SimTime};
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::{NodeRt, TaskState};
+use super::state::NodeRt;
 
 /// Runtime state of the capacity controller.
 pub(crate) struct ElasticRt {
-    /// Per-pool price walks, in pool order.
-    prices: Vec<SpotPriceProcess>,
-    /// Per-pool current per-check preemption probability (refreshed
-    /// after each price step; surfaced to schedulers as
-    /// [`crate::scheduler::NodeView::preempt_risk`]).
-    risk: Vec<f64>,
-    /// Per-node pool membership (`None` = on-demand tier).
-    pool_of: Vec<Option<usize>>,
-    /// Last instant each node had a running attempt (idle grace for
-    /// scale-down).
-    last_busy: Vec<SimTime>,
+    /// The shared controller: prices, idle tracking, scaling, draws.
+    pub(crate) ctl: Controller,
     /// Cost has been accrued up to this instant.
     last_accrual: SimTime,
-    /// Task slots per node assumed when converting backlog into nodes.
-    slots_per_node: usize,
     /// The run's cost ledger.
     pub(crate) cost: CostSummary,
 }
 
 impl ElasticRt {
-    pub(crate) fn new(cfg: &ElasticConfig, cluster: &ClusterSpec) -> Self {
-        let n = cluster.len();
-        let prices: Vec<SpotPriceProcess> = cfg.pools.iter().map(|p| p.price_process()).collect();
-        let risk = cfg
-            .pools
-            .iter()
-            .zip(&prices)
-            .map(|(pool, p)| pool.preempt_prob(p))
-            .collect();
-        let pool_of = (0..n).map(|i| cfg.pool_of(NodeId(i))).collect();
-        let slots_per_node =
-            (cluster.iter().map(|(_, s)| s.cores as usize).sum::<usize>() / n.max(1)).max(1);
+    pub(crate) fn new(cfg: &ElasticConfig, cluster: &ClusterSpec, rng: StdRng) -> Self {
         ElasticRt {
-            prices,
-            risk,
-            pool_of,
-            last_busy: vec![SimTime::ZERO; n],
+            ctl: Controller::new(cfg, cluster, rng),
             last_accrual: SimTime::ZERO,
-            slots_per_node,
             cost: CostSummary::default(),
-        }
-    }
-
-    /// Tier of node `idx` under this controller.
-    pub(crate) fn tier_of(&self, idx: usize) -> NodeTier {
-        match self.pool_of.get(idx) {
-            Some(Some(_)) => NodeTier::Spot,
-            _ => NodeTier::OnDemand,
-        }
-    }
-
-    /// Current per-check preemption probability of node `idx`'s pool
-    /// (0.0 for the on-demand tier).
-    pub(crate) fn risk_of(&self, idx: usize) -> f64 {
-        match self.pool_of.get(idx) {
-            Some(Some(pi)) => self.risk[*pi],
-            _ => 0.0,
         }
     }
 
@@ -105,10 +58,10 @@ impl ElasticRt {
             if !node.provisioned {
                 continue;
             }
-            match self.pool_of.get(i).copied().flatten() {
-                Some(pi) => {
+            match self.ctl.spot_price(NodeId(i)) {
+                Some(price) => {
                     self.cost.spot_node_secs += dt;
-                    self.cost.spot_cost += self.prices[pi].price / 3600.0 * dt;
+                    self.cost.spot_cost += price / 3600.0 * dt;
                 }
                 None => {
                     self.cost.on_demand_node_secs += dt;
@@ -120,140 +73,55 @@ impl ElasticRt {
 }
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
-    /// One controller check: accrue cost, step prices, scale pools to
-    /// their policy targets, draw preemptions, re-arm.
+    /// One controller check: accrue cost, run the shared controller,
+    /// apply its actions, re-arm.
     pub(crate) fn elastic_check(&mut self) {
         let Some(mut el) = self.elastic.take() else {
             return;
         };
-        let cfg = self.input.config;
-        let ecfg = &cfg.elastic;
+        let ecfg = &self.input.config.elastic;
 
         el.accrue(&self.state.nodes, ecfg, self.now);
-        for i in 0..el.prices.len() {
-            el.prices[i].step(ecfg.check_secs, &mut self.rng_elastic);
-            el.risk[i] = ecfg.pools[i].preempt_prob(&el.prices[i]);
-        }
-        for (i, node) in self.state.nodes.iter().enumerate() {
-            if !node.running.is_empty() {
-                el.last_busy[i] = self.now;
-            }
-        }
-
-        let backlog: usize = self
-            .state
-            .stages
-            .iter()
-            .filter(|s| s.released)
-            .map(|s| {
-                s.tasks
-                    .iter()
-                    .filter(|t| matches!(t, TaskState::Pending { .. }))
-                    .count()
-            })
-            .sum();
-        let active_nodes = self
+        let fleet: Vec<FleetNode> = self
             .state
             .nodes
             .iter()
-            .filter(|n| n.provisioned && !n.crashed)
-            .count();
-        let demand = DemandView {
-            backlog,
-            active_nodes,
-            slots_per_node: el.slots_per_node,
-        };
-
-        for (pi, pool) in ecfg.pools.iter().enumerate() {
-            let members: Vec<NodeId> = pool
-                .nodes
-                .iter()
-                .copied()
-                .filter(|n| n.index() < self.state.nodes.len())
-                .collect();
-            let active = members
-                .iter()
-                .filter(|n| {
-                    let rt = &self.state.nodes[n.index()];
-                    rt.provisioned && !rt.crashed
-                })
-                .count();
-            let view = PoolView {
-                price: el.prices[pi].price,
-                mean_price: pool.mean_price,
-                active,
-                capacity: members.len(),
-            };
-            let target = ecfg
-                .policy
-                .scaling()
-                .target(ecfg, &view, &demand)
-                .min(members.len());
-            if target > active {
-                let mut to_add = target - active;
-                for &nid in &members {
-                    if to_add == 0 {
-                        break;
-                    }
-                    let rt = &mut self.state.nodes[nid.index()];
-                    if rt.provisioned || rt.crashed {
-                        continue;
-                    }
+            .map(|n| FleetNode {
+                provisioned: n.provisioned,
+                down: n.crashed,
+                draining: n.drain_deadline.is_some(),
+                busy: !n.running.is_empty(),
+            })
+            .collect();
+        let backlog = self.state.backlog();
+        let actions = el
+            .ctl
+            .check(ecfg, self.now, ecfg.scale_down_idle_secs, &fleet, backlog);
+        for action in actions {
+            match action {
+                ScalingAction::Provision(node) => {
+                    let rt = &mut self.state.nodes[node.index()];
                     rt.provisioned = true;
                     // provisioning latency: the node joins the fleet now
                     // (and starts billing) but accepts work only later
                     rt.blocked_until = rt
                         .blocked_until
                         .max(self.now + SimDuration::from_secs_f64(ecfg.provision_secs));
-                    el.last_busy[nid.index()] = self.now;
                     el.cost.provisions += 1;
-                    self.publish(EngineEvent::NodeProvisioned { node: nid });
+                    self.publish(EngineEvent::NodeProvisioned { node });
                     self.need_offers = true;
-                    to_add -= 1;
                 }
-            } else if target < active {
-                let mut to_drop = active - target;
-                for &nid in &members {
-                    if to_drop == 0 {
-                        break;
-                    }
-                    let idle_secs = self.now.since(el.last_busy[nid.index()]).as_secs_f64();
-                    let eligible = {
-                        let rt = &self.state.nodes[nid.index()];
-                        rt.provisioned
-                            && !rt.crashed
-                            && rt.drain_deadline.is_none()
-                            && rt.running.is_empty()
-                            && idle_secs >= ecfg.scale_down_idle_secs
-                    };
-                    if !eligible {
-                        continue;
-                    }
-                    self.state.nodes[nid.index()].provisioned = false;
+                ScalingAction::Decommission(node) => {
+                    self.state.nodes[node.index()].provisioned = false;
                     el.cost.decommissions += 1;
-                    self.publish(EngineEvent::NodeDecommissioned { node: nid });
+                    self.publish(EngineEvent::NodeDecommissioned { node });
                     // the node's cache and any finished map outputs
                     // leave with it — same loss path as a crash, so
                     // lineage recompute keeps reducers correct
-                    self.node_lost(nid);
-                    to_drop -= 1;
+                    self.node_lost(node);
                 }
-            }
-        }
-
-        // price-correlated preemptions: one draw per pool slot per
-        // check, applied only to nodes actually in the fleet, so the
-        // draw sequence is independent of scheduler behaviour
-        for (pi, pool) in ecfg.pools.iter().enumerate() {
-            let prob = el.risk[pi];
-            for &nid in &pool.nodes {
-                let hit = self.rng_elastic.gen_range(0.0..1.0) < prob;
-                if !hit || nid.index() >= self.state.nodes.len() {
-                    continue;
-                }
-                let rt = &self.state.nodes[nid.index()];
-                if rt.provisioned && !rt.crashed && rt.drain_deadline.is_none() {
-                    self.begin_preemption(nid, pool.notice_secs);
+                ScalingAction::Preempt { node, notice_secs } => {
+                    self.begin_preemption(node, notice_secs);
                 }
             }
         }

@@ -30,7 +30,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // Real Spark jobs die with "Initial job has not accepted
         // any resources"; we abort the run likewise.
         let anything_running = self.state.anything_running();
-        let anything_pending = self.state.anything_pending();
+        let anything_pending = self.state.backlog() > 0;
         // an empty cluster waiting for the next job arrival is
         // not a livelock — only count heartbeats where released
         // work sits unplaced

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use rupam_cluster::NodeId;
-use rupam_dag::app::{JobId, StageId, StageKind};
+use rupam_dag::app::{JobId, StageId};
 use rupam_dag::task::InputSource;
 use rupam_dag::TaskRef;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
@@ -20,14 +20,14 @@ use rupam_simcore::units::ByteSize;
 use rupam_metrics::breakdown::TaskBreakdown;
 
 use crate::costmodel::{build_phases, LaunchContext, Phase};
-use crate::scheduler::{Command, KillReason};
+use crate::scheduler::Command;
+use crate::shuffle::is_preferred;
 
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
 use super::state::{AttemptId, AttemptRt, TaskState};
-use super::REDUCER_PREF_FRACTION;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// A stream job arrives: unlock its chain, tell the scheduler which
@@ -84,9 +84,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             .observed_peak
             .insert((task.stage, task.index), self.state.attempts[id].peak_mem);
 
-        let stage = self.input.app.stage(task.stage);
-        let template = &stage.tasks[task.index];
-
         // has the task already been completed by another copy?
         let already_done = matches!(
             self.state.stages[task.stage.index()].tasks[task.index],
@@ -99,15 +96,13 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         };
         let record = self.make_record(id, outcome);
         if !already_done {
-            let stage_rt = &mut self.state.stages[task.stage.index()];
             // register map outputs for reducers
-            if stage.kind == StageKind::ShuffleMap {
-                let bytes = template.demand.shuffle_write.as_f64();
-                stage_rt.map_out_per_node[node_id.index()] += bytes;
-                stage_rt.map_out_total += bytes;
-            }
-            stage_rt.winners[task.index] = Some((node_id, attempt_no));
-            stage_rt.finished_secs.push(record.duration().as_secs_f64());
+            self.state
+                .outputs
+                .record_win(self.input.app, task, node_id, attempt_no);
+            self.state.stages[task.stage.index()]
+                .finished_secs
+                .push(record.duration().as_secs_f64());
             // cache the produced partition
             self.cache_produced_partition(task, node_id);
             // kill losing copies
@@ -209,7 +204,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             attempts.retain(|&x| x != id);
             if attempts.is_empty() {
                 let next = attempt_no + 1;
-                if next > self.input.config.mem.max_retries {
+                if self.input.config.mem.retries_exhausted(next) {
                     self.aborted = true;
                     retries_exhausted = true;
                 }
@@ -238,10 +233,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 self.try_launch(task, node, use_gpu, speculative, reason);
             }
             Command::KillAndRequeue { task, node, reason } => {
-                let outcome = match reason {
-                    KillReason::MemoryStraggler => AttemptOutcome::MemoryStragglerKilled,
-                    KillReason::QuotaPreempt => AttemptOutcome::QuotaPreempted,
-                };
+                let outcome = reason.outcome();
                 let state = &self.state.stages[task.stage.index()].tasks[task.index];
                 if let TaskState::Running { attempts } = state {
                     let on_node: Vec<AttemptId> = attempts
@@ -355,22 +347,13 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let mut shuffle_local = ByteSize::ZERO;
         let mut shuffle_remote = ByteSize::ZERO;
         if demand.shuffle_read > ByteSize::ZERO {
-            let parents = &self.input.app.stage(task.stage).parents;
-            let mut on_node = 0.0f64;
-            let mut total = 0.0f64;
-            for p in parents {
-                let prt = &self.state.stages[p.index()];
-                on_node += prt.map_out_per_node[node_id.index()];
-                total += prt.map_out_total;
-            }
-            let frac = if total > 0.0 {
-                (on_node / total).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
+            let frac = self
+                .state
+                .outputs
+                .local_share(self.input.app, task.stage, node_id);
             shuffle_local = demand.shuffle_read.scale(frac);
             shuffle_remote = demand.shuffle_read.saturating_sub(shuffle_local);
-            if matches!(template.input, InputSource::Shuffle) && frac >= REDUCER_PREF_FRACTION {
+            if matches!(template.input, InputSource::Shuffle) && is_preferred(frac) {
                 locality = rupam_dag::Locality::NodeLocal;
             }
         }

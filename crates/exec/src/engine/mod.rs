@@ -65,6 +65,7 @@ use crate::audit::{AuditConfig, Violation};
 use crate::cache::ExecutorCache;
 use crate::config::SimConfig;
 use crate::scheduler::Scheduler;
+use crate::shuffle::MapOutputLedger;
 use crate::speculation::SpeculationSet;
 
 use driver::Engine;
@@ -73,9 +74,6 @@ use state::{ClusterState, JobRt, NodeRt, StageRt, TaskState};
 pub use emit::{AuditRelay, FaultStats, TraceEmitter};
 pub use events::{lost_task_detail, BusStage, EngineEvent, EventBus, EventCtx, Subscriber};
 
-/// Fraction of a reduce task's shuffle input that must sit on one node
-/// for Spark to consider that node `NODE_LOCAL` for the task.
-pub(crate) const REDUCER_PREF_FRACTION: f64 = 0.2;
 /// Work below this is considered complete (unit-scale epsilon).
 pub(crate) const WORK_EPS: f64 = 1e-7;
 
@@ -305,9 +303,6 @@ pub(crate) fn assemble<'a, 's>(
             released: false,
             tasks: vec![TaskState::Pending { attempt_no: 0 }; s.num_tasks()],
             finished_secs: Vec::new(),
-            map_out_per_node: vec![0.0; cluster.len()],
-            map_out_total: 0.0,
-            winners: vec![None; s.num_tasks()],
         })
         .collect();
 
@@ -353,6 +348,7 @@ pub(crate) fn assemble<'a, 's>(
             jobs,
             stage_jobs,
             tracker: StageTracker::new_stream(input.app, &chains),
+            outputs: MapOutputLedger::new(input.app, cluster.len()),
             spec_set: SpeculationSet::new(),
             observed_peak: HashMap::new(),
             kill_pending: HashMap::new(),
@@ -361,10 +357,12 @@ pub(crate) fn assemble<'a, 's>(
         records: Vec::new(),
         rng_fail: RngFactory::new(input.seed).stream("engine/failures"),
         rng_faults: RngFactory::new(input.seed).stream("engine/faults"),
-        rng_elastic: RngFactory::new(input.seed).stream("engine/elastic"),
         detector: (!cfg.faults.script.is_empty())
             .then(|| FailureDetector::new(cluster.len(), &cfg.faults, SimTime::ZERO)),
-        elastic: (!cfg.elastic.is_empty()).then(|| elastic::ElasticRt::new(&cfg.elastic, cluster)),
+        elastic: (!cfg.elastic.is_empty()).then(|| {
+            let rng = RngFactory::new(input.seed).stream("engine/elastic");
+            elastic::ElasticRt::new(&cfg.elastic, cluster, rng)
+        }),
         oom_failures: 0,
         executor_losses: 0,
         speculative_launched: 0,

@@ -103,9 +103,9 @@ impl SnapshotCtx<'_> {
             .collect();
         let (tier, preempt_risk) = match self.elastic {
             Some(el) => (
-                el.tier_of(idx),
+                el.ctl.tier_of(NodeId(idx)),
                 if node.provisioned {
-                    el.risk_of(idx)
+                    el.ctl.risk_of(NodeId(idx))
                 } else {
                     0.0
                 },

@@ -23,6 +23,7 @@ use rupam_simcore::Sym;
 
 use crate::cache::ExecutorCache;
 use crate::costmodel::Phase;
+use crate::shuffle::MapOutputLedger;
 use crate::speculation::SpeculationSet;
 
 /// Index into [`ClusterState::attempts`]; attempts are never removed, so
@@ -112,12 +113,6 @@ pub(crate) struct StageRt {
     pub(crate) released: bool,
     pub(crate) tasks: Vec<TaskState>,
     pub(crate) finished_secs: Vec<f64>,
-    pub(crate) map_out_per_node: Vec<f64>,
-    pub(crate) map_out_total: f64,
-    /// Per task: node and attempt number of the winning (completed)
-    /// copy, so that losing a node tells us exactly which finished map
-    /// outputs died with it (lineage-driven recompute).
-    pub(crate) winners: Vec<Option<(NodeId, u32)>>,
 }
 
 /// The one authoritative snapshot of cluster reality, owned by the core
@@ -135,6 +130,8 @@ pub(crate) struct ClusterState {
     pub(crate) stage_jobs: Vec<JobId>,
     /// Lineage/readiness tracking across stages and job chains.
     pub(crate) tracker: StageTracker,
+    /// Where finished map outputs live (lineage-driven recompute).
+    pub(crate) outputs: MapOutputLedger,
     /// Tasks currently flagged speculatable (not yet copied).
     pub(crate) spec_set: SpeculationSet,
     /// Highest observed peak memory per task, fed back into offers.
@@ -160,13 +157,14 @@ impl ClusterState {
         self.attempts.iter().any(|a| a.alive)
     }
 
-    /// Does any released stage still hold pending (schedulable) tasks?
-    pub(crate) fn anything_pending(&self) -> bool {
-        self.stages.iter().any(|s| {
-            s.released
-                && s.tasks
-                    .iter()
-                    .any(|t| matches!(t, TaskState::Pending { .. }))
-        })
+    /// Pending (schedulable) tasks of released stages.
+    pub(crate) fn backlog(&self) -> usize {
+        let pending = |s: &StageRt| {
+            s.tasks
+                .iter()
+                .filter(|t| matches!(t, TaskState::Pending { .. }))
+                .count()
+        };
+        self.stages.iter().filter(|s| s.released).map(pending).sum()
     }
 }

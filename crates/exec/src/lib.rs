@@ -12,6 +12,8 @@
 //! * [`cache`] — per-executor LRU partition cache (Spark storage memory).
 //! * [`scheduler`] — the offer-based scheduler interface and the
 //!   read-only views schedulers decide from.
+//! * [`shuffle`] — the map-output ledger: where shuffle outputs live,
+//!   the reducer-preference rule, and the lineage-recompute walk.
 //! * [`speculation`] — Spark's speculative-execution policy (quantile +
 //!   multiplier) shared by all schedulers.
 //! * [`engine`] — the simulation driver, structured as a staged event
@@ -35,6 +37,7 @@ pub mod config;
 pub mod costmodel;
 pub mod engine;
 pub mod scheduler;
+pub mod shuffle;
 pub mod speculation;
 pub mod testutil;
 

@@ -371,6 +371,17 @@ pub enum KillReason {
     QuotaPreempt,
 }
 
+impl KillReason {
+    /// The outcome recorded for an attempt killed for this reason, in
+    /// the sim engine and the serve driver alike.
+    pub fn outcome(self) -> AttemptOutcome {
+        match self {
+            KillReason::MemoryStraggler => AttemptOutcome::MemoryStragglerKilled,
+            KillReason::QuotaPreempt => AttemptOutcome::QuotaPreempted,
+        }
+    }
+}
+
 /// A task scheduler: stock Spark, RUPAM, or an ablation variant.
 pub trait Scheduler {
     /// Human-readable name used in reports.

@@ -177,8 +177,8 @@ fn main() -> ExitCode {
     let mut ok = r.clean && r.lost_tasks == 0;
     if !ok {
         eprintln!(
-            "rupam-serve: UNCLEAN drain (clean={}, lost={})",
-            r.clean, r.lost_tasks
+            "rupam-serve: UNCLEAN drain (clean={}, lost={}, abort={:?})",
+            r.clean, r.lost_tasks, r.abort
         );
     }
 

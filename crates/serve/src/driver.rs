@@ -12,6 +12,28 @@
 //! replay harness re-runs this same driver over the logged events and
 //! must produce a byte-identical digest.
 //!
+//! The control rules both hosts run have one definition, shared with
+//! the sim engine:
+//!
+//! * the capacity controller ([`rupam_elastic::Controller`]): spot price
+//!   steps, idle tracking, per-pool scaling targets and price-correlated
+//!   preemption draws;
+//! * the map-output ledger ([`MapOutputLedger`]): where shuffle outputs
+//!   live, the 20 % reducer-preference rule, and the lineage-recompute
+//!   walk on node loss;
+//! * the retry limit ([`rupam_exec::config::MemConfig::retries_exhausted`]),
+//!   against which every failed attempt counts — node-loss requeues
+//!   included;
+//! * the kill outcome ([`KillReason::outcome`]) reported to the
+//!   scheduler for a `KillAndRequeue`.
+//!
+//! What stays serve-specific is how those rules meet real time and real
+//! workers: wall-time scaling of sim-second tunables, firing preemption
+//! drains on ticks, worker registration as the join path (no
+//! provisioning latency), the per-stage memo of shuffle preferences,
+//! event-tracked offer state, and the estimated task durations workers
+//! hold their slots for.
+//!
 //! [`WallClockSource`]: rupam_simcore::source::WallClockSource
 //! [`Calendar`]: rupam_simcore::Calendar
 
@@ -20,17 +42,19 @@ use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
-use rupam_dag::app::{JobId, StageId, StageKind};
+use rupam_dag::app::{JobId, StageId};
 use rupam_dag::lineage::StageTracker;
 use rupam_dag::task::InputSource;
 use rupam_dag::{Locality, MergedStream, TaskRef};
-use rupam_elastic::{DemandView, PoolView, SpotPriceProcess};
+use rupam_elastic::{Controller, FleetNode, ScalingAction};
 use rupam_exec::config::SimConfig;
 use rupam_exec::scheduler::{
-    Command, NodeShadowTable, NodeView, OfferInput, PendingTaskView, RunningTaskView, Scheduler,
+    Command, KillReason, NodeShadowTable, NodeView, OfferInput, PendingTaskView, RunningTaskView,
+    Scheduler,
 };
+use rupam_exec::shuffle::MapOutputLedger;
 use rupam_exec::EngineError;
 use rupam_faults::{FailureDetector, NodeHealth};
 use rupam_metrics::breakdown::{BreakdownCategory, TaskBreakdown};
@@ -43,11 +67,6 @@ use rupam_simcore::units::ByteSize;
 
 use crate::estimate::estimate;
 use crate::proto::{ClientRequest, ServeEvent, TaskFailure, WorkerCommand, WorkerReport};
-
-/// Reducer preference threshold: a node holding at least this fraction
-/// of a reduce stage's map output is `NODE_LOCAL` (same rule as the sim
-/// engine).
-const REDUCER_PREF_FRACTION: f64 = 0.20;
 
 /// Tunables of the live service.
 #[derive(Clone)]
@@ -79,7 +98,10 @@ pub struct ServeConfig {
     /// *wall* durations here), and the elastic spot tier
     /// (`elastic` — pool membership, prices and the scaling policy;
     /// elastic durations are authored in sim seconds and scaled by
-    /// `time_scale` like fault-script times).
+    /// `time_scale` like fault-script times). Serve has no provisioning
+    /// latency: a provisioned spot node accepts work as soon as its
+    /// worker is registered (registration is the join path), so
+    /// `elastic.provision_secs` has no effect here.
     pub sim: SimConfig,
     /// Seed of the serve-side spot-price / preemption RNG. Elastic
     /// stepping happens on driver ticks — internal timer events never
@@ -130,6 +152,8 @@ struct RunningSt {
     use_gpu: bool,
     locality: Locality,
     breakdown: TaskBreakdown,
+    /// Why the driver asked the worker to kill this attempt, if it did.
+    kill: Option<KillReason>,
 }
 
 enum TaskSt {
@@ -141,9 +165,6 @@ enum TaskSt {
 struct StageSt {
     released: bool,
     tasks: Vec<TaskSt>,
-    map_out_per_node: Vec<f64>,
-    map_out_total: f64,
-    winners: Vec<Option<(NodeId, u32)>>,
 }
 
 struct NodeSt {
@@ -155,66 +176,17 @@ struct NodeSt {
     net_util: f64,
     /// Disk occupancy from the worker's last heartbeat payload.
     disk_util: f64,
+    /// Part of the fleet. On-demand nodes always are; spot nodes start
+    /// deprovisioned (their agents register but stay blocked) and churn
+    /// under the capacity controller.
+    provisioned: bool,
+    /// Preemption drain deadline, when a notice is outstanding.
+    drain_deadline: Option<SimTime>,
 }
 
 struct JobSt {
     submitted: Option<SimTime>,
     completed: Option<SimTime>,
-}
-
-/// Serve-side capacity controller: the sim engine's elastic check
-/// re-hosted on driver ticks. All mutations happen while handling a
-/// popped event with a dedicated seeded RNG, so a replay of the input
-/// log reproduces the identical churn and the digest oracle still
-/// holds.
-struct ServeElastic {
-    rng: StdRng,
-    /// Per-pool price walks, in pool order.
-    prices: Vec<SpotPriceProcess>,
-    /// Per-pool current per-check preemption probability.
-    risk: Vec<f64>,
-    /// Per-node pool membership (`None` = on-demand tier).
-    pool_of: Vec<Option<usize>>,
-    /// Whether each node is currently part of the fleet. Spot nodes
-    /// start deprovisioned; their agents register but stay blocked.
-    provisioned: Vec<bool>,
-    /// Preemption drain deadline, when a notice is outstanding.
-    drain_deadline: Vec<Option<SimTime>>,
-    /// Last instant each node had a running attempt (idle grace).
-    last_busy: Vec<SimTime>,
-    /// Next controller check is due at this stamp.
-    next_check: SimTime,
-    /// Task slots per node assumed for backlog→nodes conversion.
-    slots_per_node: usize,
-}
-
-impl ServeElastic {
-    fn new(cfg: &ServeConfig, cluster: &ClusterSpec) -> Self {
-        let ecfg = &cfg.sim.elastic;
-        let n = cluster.len();
-        let prices: Vec<SpotPriceProcess> = ecfg.pools.iter().map(|p| p.price_process()).collect();
-        let risk = ecfg
-            .pools
-            .iter()
-            .zip(&prices)
-            .map(|(pool, p)| pool.preempt_prob(p))
-            .collect();
-        let slots_per_node =
-            (cluster.iter().map(|(_, s)| s.cores as usize).sum::<usize>() / n.max(1)).max(1);
-        ServeElastic {
-            rng: StdRng::seed_from_u64(cfg.elastic_seed),
-            prices,
-            risk,
-            pool_of: (0..n).map(|i| ecfg.pool_of(NodeId(i))).collect(),
-            provisioned: (0..n)
-                .map(|i| ecfg.tier(NodeId(i)) == NodeTier::OnDemand)
-                .collect(),
-            drain_deadline: vec![None; n],
-            last_busy: vec![SimTime::ZERO; n],
-            next_check: SimTime::ZERO + wall_secs(ecfg.check_secs, cfg.time_scale),
-            slots_per_node,
-        }
-    }
 }
 
 /// Sim seconds → wall duration under the serve time scale, floored at
@@ -276,6 +248,8 @@ pub struct ServeReport {
     pub provisions: u64,
     /// Autoscaler scale-down transitions applied.
     pub decommissions: u64,
+    /// Why the run aborted, if it did.
+    pub abort: Option<AbortCause>,
     /// Timestamp of the last handled event (wall µs since server start
     /// in live mode).
     pub makespan: SimDuration,
@@ -297,11 +271,12 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     stages: Vec<StageSt>,
     jobs: Vec<JobSt>,
     tracker: StageTracker,
+    outputs: MapOutputLedger,
     detector: FailureDetector,
     trace: TraceBuffer,
     round: u64,
     draining: bool,
-    aborted: bool,
+    abort: Option<AbortCause>,
     kill_pending: HashMap<TaskRef, SimTime>,
     observed_peak: HashMap<(StageId, usize), ByteSize>,
     dispatch_us: Vec<u64>,
@@ -341,7 +316,12 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     offer_due: Option<SimTime>,
     last_offer_at: Option<SimTime>,
     // ---- elastic spot tier (absent without spot pools) ----
-    elastic: Option<ServeElastic>,
+    /// The shared capacity controller, hosted on driver ticks. It draws
+    /// from a dedicated seeded RNG only while handling popped events, so
+    /// a replay of the input log reproduces the identical churn.
+    elastic: Option<Controller>,
+    /// The next controller check is due at this stamp.
+    next_check: SimTime,
     // ---- instrumentation ----
     offer_us: Vec<u64>,
     stale_drops: u64,
@@ -375,6 +355,8 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     running: Vec::new(),
                     net_util: 0.0,
                     disk_util: 0.0,
+                    provisioned: cfg.sim.elastic.tier(id) == NodeTier::OnDemand,
+                    drain_deadline: None,
                 }
             })
             .collect();
@@ -390,9 +372,6 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                         since: SimTime::ZERO,
                     })
                     .collect(),
-                map_out_per_node: vec![0.0; cluster.len()],
-                map_out_total: 0.0,
-                winners: vec![None; s.tasks.len()],
             })
             .collect();
         let chains: Vec<std::ops::Range<usize>> =
@@ -424,11 +403,12 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 })
                 .collect(),
             tracker: StageTracker::new_stream(&catalog.app, &chains),
+            outputs: MapOutputLedger::new(&catalog.app, n_nodes),
             detector: FailureDetector::new(cluster.len(), &cfg.sim.faults, SimTime::ZERO),
             trace: TraceBuffer::new(rupam_metrics::trace::DEFAULT_TRACE_CAPACITY),
             round: 0,
             draining: false,
-            aborted: false,
+            abort: None,
             kill_pending: HashMap::new(),
             observed_peak: HashMap::new(),
             dispatch_us: Vec::new(),
@@ -448,7 +428,11 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             children,
             offer_due: None,
             last_offer_at: None,
-            elastic: (!cfg.sim.elastic.is_empty()).then(|| ServeElastic::new(cfg, cluster)),
+            elastic: (!cfg.sim.elastic.is_empty()).then(|| {
+                let rng = StdRng::seed_from_u64(cfg.elastic_seed);
+                Controller::new(&cfg.sim.elastic, cluster, rng)
+            }),
+            next_check: SimTime::ZERO + wall_secs(cfg.sim.elastic.check_secs, cfg.time_scale),
             offer_us: Vec::new(),
             stale_drops: 0,
             dead_drops: 0,
@@ -468,8 +452,14 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         });
     }
 
+    /// End the run with `cause`, blaming `task` if one is at fault.
+    fn abort(&mut self, cause: AbortCause, task: Option<TaskRef>) {
+        self.record(TraceEventKind::Aborted { cause, task });
+        self.abort = Some(cause);
+    }
+
     fn finished(&self) -> bool {
-        if self.aborted {
+        if self.abort.is_some() {
             return true;
         }
         let submitted_done = self
@@ -489,11 +479,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         self.source.schedule(self.now + tick, ServeEvent::Tick);
         while !self.finished() {
             let Some((t, ev)) = self.source.pop() else {
-                self.aborted = true;
-                self.record(TraceEventKind::Aborted {
-                    cause: AbortCause::SourceDisconnected,
-                    task: None,
-                });
+                self.abort(AbortCause::SourceDisconnected, None);
                 self.shutdown_workers();
                 return Err(EngineError::SourceDisconnected { at: self.now });
             };
@@ -505,11 +491,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     self.elastic_tick();
                     if let Some(max) = self.cfg.max_wall {
                         if self.now >= SimTime(max.as_micros() as u64) && !self.finished() {
-                            self.aborted = true;
-                            self.record(TraceEventKind::Aborted {
-                                cause: AbortCause::Livelock,
-                                task: None,
-                            });
+                            self.abort(AbortCause::Livelock, None);
                             break;
                         }
                     }
@@ -522,7 +504,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 // quiet stretches run no rounds at all
                 ServeEvent::Offer => {
                     self.offer_due = None;
-                    if !self.aborted {
+                    if self.abort.is_none() {
                         self.last_offer_at = Some(self.now);
                         self.offer_round();
                     }
@@ -655,16 +637,13 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         };
         let sidx = task.stage.index();
         self.stages[sidx].tasks[task.index] = TaskSt::Done;
-        self.stages[sidx].winners[task.index] = Some((worker, attempt));
-        let stage = self.catalog.app.stage(task.stage);
-        if stage.kind == StageKind::ShuffleMap {
-            let bytes = stage.tasks[task.index].demand.shuffle_write.as_f64();
-            self.stages[sidx].map_out_per_node[worker.index()] += bytes;
-            self.stages[sidx].map_out_total += bytes;
-            if bytes > 0.0 {
-                self.invalidate_child_prefs(task.stage);
-            }
+        if self
+            .outputs
+            .record_win(&self.catalog.app, task, worker, attempt)
+        {
+            self.invalidate_child_prefs(task.stage);
         }
+        let stage = self.catalog.app.stage(task.stage);
         self.kill_pending.remove(&task);
         self.observed_peak
             .insert((task.stage, task.index), entry.peak_mem);
@@ -705,36 +684,53 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             return; // stale, same as completions
         };
         let outcome = match reason {
-            TaskFailure::Oom => AttemptOutcome::OomFailure,
-            TaskFailure::Preempted => AttemptOutcome::MemoryStragglerKilled,
+            TaskFailure::Oom => {
+                let node = &self.nodes[worker.index()];
+                let pressure_pct = (node.mem_in_use.as_f64() + entry.peak_mem.as_f64())
+                    / node.executor_mem.as_f64().max(1.0)
+                    * 100.0;
+                self.record(TraceEventKind::OomTaskKill {
+                    task,
+                    node: worker,
+                    pressure_pct: pressure_pct as u32,
+                });
+                AttemptOutcome::OomFailure
+            }
+            // workers preempt only on the driver's command; a kill the
+            // driver did not order is the node reclaiming its slot
+            TaskFailure::Preempted => entry
+                .kill
+                .map_or(AttemptOutcome::NodeFaulted, KillReason::outcome),
         };
-        if reason == TaskFailure::Oom {
-            let node = &self.nodes[worker.index()];
-            let pressure_pct = (node.mem_in_use.as_f64() + entry.peak_mem.as_f64())
-                / node.executor_mem.as_f64().max(1.0)
-                * 100.0;
-            self.record(TraceEventKind::OomTaskKill {
-                task,
-                node: worker,
-                pressure_pct: pressure_pct as u32,
-            });
-        }
+        self.fail_attempt(worker, task, attempt, outcome);
+    }
+
+    /// A running attempt failed: tell the scheduler, then re-pend the
+    /// task — or abort the run once its retries are exhausted.
+    fn fail_attempt(
+        &mut self,
+        worker: NodeId,
+        task: TaskRef,
+        attempt: u32,
+        outcome: AttemptOutcome,
+    ) {
         self.failed += 1;
         self.sched.on_task_failed(task, worker, outcome, self.now);
         let next = attempt + 1;
-        if next >= self.cfg.sim.mem.max_retries {
-            self.record(TraceEventKind::Aborted {
-                cause: AbortCause::RetriesExhausted,
-                task: Some(task),
-            });
-            self.aborted = true;
+        if self.cfg.sim.mem.retries_exhausted(next) {
+            self.abort(AbortCause::RetriesExhausted, Some(task));
             return;
         }
+        self.repend(task, next);
+    }
+
+    /// Put `task` back into the pending set as attempt `attempt_no`.
+    fn repend(&mut self, task: TaskRef, attempt_no: u32) {
         self.stages[task.stage.index()].tasks[task.index] = TaskSt::Pending {
-            attempt_no: next,
+            attempt_no,
             since: self.now,
         };
-        let view = self.build_pending_view(task, next);
+        let view = self.build_pending_view(task, attempt_no);
         self.pending_new.push(view);
         self.request_offers();
     }
@@ -771,92 +767,47 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
 
     /// A node was declared dead: kill-and-requeue its running attempts
     /// and re-pend finished map tasks whose winning output lived there
-    /// (the sim engine's lineage recompute, ported verbatim minus the
-    /// executor-cache wipe serve mode doesn't model).
+    /// (the shared lineage walk; serve workers hold no executor cache to
+    /// wipe).
     fn node_lost(&mut self, node_id: NodeId) {
         let victims: Vec<RunningSt> = std::mem::take(&mut self.nodes[node_id.index()].running);
         for v in victims {
             self.kill_pending.entry(v.task).or_insert(self.now);
-            self.failed += 1;
-            self.sched
-                .on_task_failed(v.task, node_id, AttemptOutcome::NodeFaulted, self.now);
-            self.stages[v.task.stage.index()].tasks[v.task.index] = TaskSt::Pending {
-                attempt_no: v.attempt + 1,
-                since: self.now,
-            };
-            let view = self.build_pending_view(v.task, v.attempt + 1);
-            self.pending_new.push(view);
+            self.fail_attempt(node_id, v.task, v.attempt, AttemptOutcome::NodeFaulted);
         }
         let nst = &mut self.nodes[node_id.index()];
         nst.mem_in_use = ByteSize::ZERO;
         nst.net_util = 0.0;
         nst.disk_util = 0.0;
         self.dirty_nodes[node_id.index()] = true;
-        self.recompute_lost_outputs(node_id);
-        self.request_offers();
-    }
-
-    fn recompute_lost_outputs(&mut self, node_id: NodeId) {
-        for sidx in 0..self.stages.len() {
-            if self.catalog.app.stages[sidx].kind != StageKind::ShuffleMap {
-                continue;
-            }
-            let n_tasks = self.stages[sidx].tasks.len();
-            let mut lost = 0usize;
-            for tidx in 0..n_tasks {
-                let Some((winner, attempt_no)) = self.stages[sidx].winners[tidx] else {
-                    continue;
-                };
-                if winner != node_id {
-                    continue;
-                }
-                if !self.tracker.task_lost(&self.catalog.app, StageId(sidx)) {
-                    continue; // the chain no longer needs this output
-                }
-                let bytes = self.catalog.app.stages[sidx].tasks[tidx]
-                    .demand
-                    .shuffle_write
-                    .as_f64();
-                let srt = &mut self.stages[sidx];
-                srt.map_out_per_node[node_id.index()] =
-                    (srt.map_out_per_node[node_id.index()] - bytes).max(0.0);
-                srt.map_out_total = (srt.map_out_total - bytes).max(0.0);
-                srt.winners[tidx] = None;
-                srt.tasks[tidx] = TaskSt::Pending {
-                    attempt_no: attempt_no + 1,
-                    since: self.now,
-                };
-                let task = TaskRef {
-                    stage: StageId(sidx),
-                    index: tidx,
-                };
-                let view = self.build_pending_view(task, attempt_no + 1);
-                self.pending_new.push(view);
+        let lost = self
+            .outputs
+            .lose_node(&self.catalog.app, &mut self.tracker, node_id);
+        for (stage, tasks) in lost {
+            for &(index, attempt_no) in &tasks {
+                let task = TaskRef { stage, index };
                 self.kill_pending.entry(task).or_insert(self.now);
-                lost += 1;
+                self.repend(task, attempt_no);
             }
-            if lost > 0 {
-                self.record(TraceEventKind::LineageRecompute {
-                    stage: StageId(sidx),
-                    node: node_id,
-                    tasks: lost,
-                });
-                self.invalidate_child_prefs(StageId(sidx));
-                self.request_offers();
-            }
+            self.record(TraceEventKind::LineageRecompute {
+                stage,
+                node: node_id,
+                tasks: tasks.len(),
+            });
+            self.invalidate_child_prefs(stage);
         }
+        self.request_offers();
     }
 
     // ---- elastic spot tier ----------------------------------------------
 
-    /// The serve-side capacity controller, run on every driver tick: fire
-    /// due preemption drains, and — at the (scaled) check cadence — step
-    /// spot prices, scale pools to their policy targets, and draw
-    /// price-correlated preemptions. Pure function of the popped event
-    /// order plus the dedicated seeded RNG, so replay reproduces the
-    /// identical churn.
+    /// The capacity controller, hosted on every driver tick: fire due
+    /// preemption drains, and — at the (scaled) check cadence — run the
+    /// shared controller check and apply its actions. Pure function of
+    /// the popped event order plus the dedicated seeded RNG, so replay
+    /// reproduces the identical churn.
     fn elastic_tick(&mut self) {
-        let Some(mut el) = self.elastic.take() else {
+        let Some(mut ctl) = self.elastic.take() else {
             return;
         };
         let cfg = self.cfg;
@@ -865,12 +816,13 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         // fire preemption drains whose notice window expired: reclaim
         // the node through the same loss path a dead declaration takes
         for i in 0..self.nodes.len() {
-            let due = el.drain_deadline[i].is_some_and(|d| d <= self.now);
+            let nst = &mut self.nodes[i];
+            let due = nst.drain_deadline.is_some_and(|d| d <= self.now);
             if !due {
                 continue;
             }
-            el.drain_deadline[i] = None;
-            el.provisioned[i] = false;
+            nst.drain_deadline = None;
+            nst.provisioned = false;
             self.preemptions += 1;
             let node = NodeId(i);
             // free the worker's slots; its failure reports arrive as
@@ -882,133 +834,48 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             self.node_lost(node);
         }
 
-        if self.now >= el.next_check && !self.aborted {
-            el.next_check = self.now + wall_secs(ecfg.check_secs, cfg.time_scale);
-            // price dynamics advance in sim seconds — the OU path is the
-            // same one the sim engine walks at this check cadence
-            for i in 0..el.prices.len() {
-                el.prices[i].step(ecfg.check_secs, &mut el.rng);
-                el.risk[i] = ecfg.pools[i].preempt_prob(&el.prices[i]);
-            }
-            for i in 0..self.nodes.len() {
-                if !self.nodes[i].running.is_empty() {
-                    el.last_busy[i] = self.now;
-                }
-            }
-
-            let backlog: usize = self
-                .stages
-                .iter()
-                .filter(|s| s.released)
-                .map(|s| {
-                    s.tasks
-                        .iter()
-                        .filter(|t| matches!(t, TaskSt::Pending { .. }))
-                        .count()
+        if self.now >= self.next_check && self.abort.is_none() {
+            self.next_check = self.now + wall_secs(ecfg.check_secs, cfg.time_scale);
+            let fleet: Vec<FleetNode> = (self.nodes.iter().enumerate())
+                .map(|(i, n)| FleetNode {
+                    provisioned: n.provisioned,
+                    down: self.detector.is_dead(NodeId(i)),
+                    draining: n.drain_deadline.is_some(),
+                    busy: !n.running.is_empty(),
                 })
-                .sum();
-            let active_nodes = (0..self.nodes.len())
-                .filter(|&i| el.provisioned[i] && !self.detector.is_dead(NodeId(i)))
-                .count();
-            let demand = DemandView {
-                backlog,
-                active_nodes,
-                slots_per_node: el.slots_per_node,
-            };
-
-            for (pi, pool) in ecfg.pools.iter().enumerate() {
-                let members: Vec<NodeId> = pool
-                    .nodes
-                    .iter()
-                    .copied()
-                    .filter(|n| n.index() < self.nodes.len())
-                    .collect();
-                let active = members
-                    .iter()
-                    .filter(|n| el.provisioned[n.index()] && !self.detector.is_dead(**n))
-                    .count();
-                let view = PoolView {
-                    price: el.prices[pi].price,
-                    mean_price: pool.mean_price,
-                    active,
-                    capacity: members.len(),
-                };
-                let target = ecfg
-                    .policy
-                    .scaling()
-                    .target(ecfg, &view, &demand)
-                    .min(members.len());
-                if target > active {
-                    let mut to_add = target - active;
-                    for &nid in &members {
-                        if to_add == 0 {
-                            break;
-                        }
-                        let i = nid.index();
-                        if el.provisioned[i] || self.detector.is_dead(nid) {
-                            continue;
-                        }
-                        // no extra provisioning latency in serve mode:
-                        // worker registration is the real join path
-                        el.provisioned[i] = true;
-                        el.last_busy[i] = self.now;
+                .collect();
+            // the flushed persistent list is the released pending set
+            self.flush_pending();
+            let backlog = self.pending_views.len();
+            let grace = ecfg.scale_down_idle_secs * cfg.time_scale;
+            for action in ctl.check(ecfg, self.now, grace, &fleet, backlog) {
+                match action {
+                    ScalingAction::Provision(node) => {
+                        self.nodes[node.index()].provisioned = true;
                         self.provisions += 1;
-                        self.record(TraceEventKind::NodeProvisioned { node: nid });
-                        self.dirty_nodes[i] = true;
+                        self.record(TraceEventKind::NodeProvisioned { node });
+                        self.dirty_nodes[node.index()] = true;
                         self.request_offers();
-                        to_add -= 1;
                     }
-                } else if target < active {
-                    let mut to_drop = active - target;
-                    for &nid in &members {
-                        if to_drop == 0 {
-                            break;
-                        }
-                        let i = nid.index();
-                        let idle = self.now.since(el.last_busy[i]);
-                        let eligible = el.provisioned[i]
-                            && el.drain_deadline[i].is_none()
-                            && self.nodes[i].running.is_empty()
-                            && idle >= wall_secs(ecfg.scale_down_idle_secs, cfg.time_scale);
-                        if !eligible {
-                            continue;
-                        }
-                        el.provisioned[i] = false;
+                    ScalingAction::Decommission(node) => {
+                        self.nodes[node.index()].provisioned = false;
                         self.decommissions += 1;
-                        self.record(TraceEventKind::NodeDecommissioned { node: nid });
+                        self.record(TraceEventKind::NodeDecommissioned { node });
                         // map outputs leave with the node: same loss
                         // path as a crash, lineage recompute included
-                        self.node_lost(nid);
-                        to_drop -= 1;
+                        self.node_lost(node);
                     }
-                }
-            }
-
-            // price-correlated preemptions: one draw per pool slot per
-            // check, applied only to nodes actually in the fleet, so
-            // the draw sequence never depends on scheduler behaviour
-            for (pi, pool) in ecfg.pools.iter().enumerate() {
-                let prob = el.risk[pi];
-                for &nid in &pool.nodes {
-                    let hit = el.rng.gen_range(0.0..1.0) < prob;
-                    let i = nid.index();
-                    if !hit || i >= self.nodes.len() {
-                        continue;
-                    }
-                    if el.provisioned[i]
-                        && el.drain_deadline[i].is_none()
-                        && !self.detector.is_dead(nid)
-                    {
-                        let notice = wall_secs(pool.notice_secs, cfg.time_scale);
-                        el.drain_deadline[i] = Some(self.now + notice);
-                        self.record(TraceEventKind::PreemptionNotice { node: nid, notice });
-                        self.dirty_nodes[i] = true;
+                    ScalingAction::Preempt { node, notice_secs } => {
+                        let notice = wall_secs(notice_secs, cfg.time_scale);
+                        self.nodes[node.index()].drain_deadline = Some(self.now + notice);
+                        self.record(TraceEventKind::PreemptionNotice { node, notice });
+                        self.dirty_nodes[node.index()] = true;
                         self.request_offers();
                     }
                 }
             }
         }
-        self.elastic = Some(el);
+        self.elastic = Some(ctl);
     }
 
     // ---- stage release & offers -----------------------------------------
@@ -1044,9 +911,9 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     /// `(process_nodes, node_local)` placement preferences — the sim
     /// engine's `preferred_nodes` without the executor-cache tier (serve
     /// workers hold no partition cache). HDFS replica lists are static;
-    /// shuffle preferences are memoised per stage (every task of a
-    /// reduce stage shares them) and invalidated only when an upstream
-    /// map output moves.
+    /// shuffle preferences (the ledger's `NODE_LOCAL` rule) are memoised
+    /// per stage — every task of a reduce stage shares them — and
+    /// invalidated only when an upstream map output moves.
     fn preferred_nodes(&mut self, stage: StageId, tidx: usize) -> (Vec<NodeId>, Vec<NodeId>) {
         let template = &self.catalog.app.stage(stage).tasks[tidx];
         match &template.input {
@@ -1058,39 +925,17 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 Vec::new(),
                 self.catalog.layout.block(*fallback).replicas.clone(),
             ),
-            InputSource::Shuffle => (Vec::new(), self.shuffle_pref_of(stage)),
+            InputSource::Shuffle => {
+                let (outputs, app) = (&self.outputs, &self.catalog.app);
+                let memo = &mut self.shuffle_pref[stage.index()];
+                (
+                    Vec::new(),
+                    memo.get_or_insert_with(|| outputs.node_local(app, stage))
+                        .clone(),
+                )
+            }
             InputSource::Generated => (Vec::new(), Vec::new()),
         }
-    }
-
-    /// The memoised shuffle preference list of a reduce stage: nodes
-    /// holding ≥ 20 % of the parents' map output.
-    fn shuffle_pref_of(&mut self, stage: StageId) -> Vec<NodeId> {
-        if let Some(nl) = &self.shuffle_pref[stage.index()] {
-            return nl.clone();
-        }
-        let parents = &self.catalog.app.stage(stage).parents;
-        let mut per_node = vec![0.0f64; self.nodes.len()];
-        let mut total = 0.0f64;
-        for p in parents {
-            let prt = &self.stages[p.index()];
-            for (i, b) in prt.map_out_per_node.iter().enumerate() {
-                per_node[i] += b;
-            }
-            total += prt.map_out_total;
-        }
-        let node_local: Vec<NodeId> = if total > 0.0 {
-            per_node
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b / total >= REDUCER_PREF_FRACTION)
-                .map(|(i, _)| NodeId(i))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.shuffle_pref[stage.index()] = Some(node_local.clone());
-        node_local
     }
 
     /// A map output of `parent` moved: drop every consumer stage's
@@ -1142,26 +987,11 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             })
             .collect();
         let gpus_busy = st.running.iter().filter(|r| r.use_gpu).count() as u32;
-        let (tier, draining, preempt_risk, provisioned) = match &self.elastic {
-            Some(el) => {
-                let i = id.index();
-                let tier = match el.pool_of[i] {
-                    Some(_) => NodeTier::Spot,
-                    None => NodeTier::OnDemand,
-                };
-                let risk = if el.provisioned[i] {
-                    el.pool_of[i].map_or(0.0, |pi| el.risk[pi])
-                } else {
-                    0.0
-                };
-                (
-                    tier,
-                    el.drain_deadline[i].is_some(),
-                    risk,
-                    el.provisioned[i],
-                )
-            }
-            None => (NodeTier::OnDemand, false, 0.0, true),
+        let draining = st.drain_deadline.is_some();
+        let (tier, preempt_risk) = match &self.elastic {
+            Some(ctl) if st.provisioned => (ctl.tier_of(id), ctl.risk_of(id)),
+            Some(ctl) => (ctl.tier_of(id), 0.0),
+            None => (NodeTier::OnDemand, 0.0),
         };
         NodeView {
             node: id,
@@ -1173,7 +1003,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             disk_util: st.disk_util,
             gpus_idle: spec.gpus.saturating_sub(gpus_busy),
             running,
-            blocked: !st.registered || dead || !provisioned || draining,
+            blocked: !st.registered || dead || !st.provisioned || draining,
             heartbeat_age: self.detector.age(id, now),
             dead,
             suspect: health == NodeHealth::Suspect,
@@ -1190,7 +1020,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     /// same schedule from the logged externals (the trigger sites are
     /// pure functions of popped events).
     fn request_offers(&mut self) {
-        if self.offer_due.is_some() || self.aborted {
+        if self.offer_due.is_some() || self.abort.is_some() {
             return;
         }
         let min = SimDuration((self.cfg.offer_min_interval.as_micros() as u64).max(1));
@@ -1374,35 +1204,26 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     self.fresh.insert(task);
                     return;
                 }
-                if let Some(el) = &self.elastic {
-                    // elastic races mirror the dead-node race: the view
-                    // the scheduler placed against went stale mid-round
-                    if !el.provisioned[node.index()] {
-                        self.autoscale_drops += 1;
-                        self.fresh.insert(task);
-                        return;
-                    }
-                    if el.drain_deadline[node.index()].is_some() {
-                        self.preempt_drops += 1;
-                        self.fresh.insert(task);
-                        return;
-                    }
+                // elastic races mirror the dead-node race: the view the
+                // scheduler placed against went stale mid-round
+                if !self.nodes[node.index()].provisioned {
+                    self.autoscale_drops += 1;
+                    self.fresh.insert(task);
+                    return;
+                }
+                if self.nodes[node.index()].drain_deadline.is_some() {
+                    self.preempt_drops += 1;
+                    self.fresh.insert(task);
+                    return;
                 }
                 let stage = self.catalog.app.stage(task.stage);
                 let demand = &stage.tasks[task.index].demand;
                 let spec = self.cluster.node(node);
                 let gpu = use_gpu && spec.gpus > 0 && demand.is_gpu_capable();
                 let (dur, breakdown) = estimate(demand, spec, gpu);
-                let (process_nodes, node_local) = self.preferred_nodes(task.stage, task.index);
-                let locality = if process_nodes.contains(&node) {
-                    Locality::ProcessLocal
-                } else if node_local.contains(&node) {
-                    Locality::NodeLocal
-                } else if node_local.iter().any(|&n| self.cluster.same_rack(n, node)) {
-                    Locality::RackLocal
-                } else {
-                    Locality::Any
-                };
+                let locality = self
+                    .build_pending_view(task, attempt_no)
+                    .locality(self.cluster, node);
                 let nst = &mut self.nodes[node.index()];
                 nst.mem_in_use += demand.peak_mem;
                 nst.running.push(RunningSt {
@@ -1413,6 +1234,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     use_gpu: gpu,
                     locality,
                     breakdown,
+                    kill: None,
                 });
                 self.stages[task.stage.index()].tasks[task.index] = TaskSt::Running {
                     node,
@@ -1467,19 +1289,12 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     },
                 );
             }
-            Command::KillAndRequeue {
-                task,
-                node,
-                reason: _,
-            } => {
-                let TaskSt::Running { node: on, .. } =
-                    self.stages[task.stage.index()].tasks[task.index]
-                else {
-                    return; // stale view: not running anymore
+            Command::KillAndRequeue { task, node, reason } => {
+                let running = &mut self.nodes[node.index()].running;
+                let Some(attempt) = running.iter_mut().find(|r| r.task == task) else {
+                    return; // stale view: finished or moved since the offer
                 };
-                if on != node {
-                    return; // stale view: moved since the offer
-                }
+                attempt.kill = Some(reason);
                 self.record(TraceEventKind::KillRequeue { task, node });
                 // the attempt stays "running" until the worker confirms
                 // with Failed { Preempted } — the confirmation is an
@@ -1539,8 +1354,9 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             preemptions: self.preemptions,
             provisions: self.provisions,
             decommissions: self.decommissions,
+            abort: self.abort,
             makespan: SimDuration(self.now.0),
-            clean: !self.aborted && jobs_submitted == jobs_completed,
+            clean: self.abort.is_none() && jobs_submitted == jobs_completed,
         }
     }
 }
