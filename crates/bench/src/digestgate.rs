@@ -10,8 +10,10 @@
 //! shapes whose node rankings are bound-pruned across rack shards, and
 //! a second chaos seed across three workloads. A third block pins the
 //! elastic spot tier: CI's elastic smoke stream with and without the
-//! fault script, and the contended spot-tail burst under the `greedy`
-//! and `on-demand-fallback` policies. The committed golden file
+//! fault script, the contended spot-tail burst under the `greedy`
+//! and `on-demand-fallback` policies, and the elastic-chaos smoke over
+//! the cache-reading KMeans and LR streams, once with tenants and a
+//! quota. The committed golden file
 //! (`tests/golden_trace_digests.txt`) pins the decision stream of the
 //! tenant-aware engine (`v2`: trace events carry tenants); any refactor
 //! of the engine, bus, or schedulers that changes a single decision (or
@@ -34,7 +36,7 @@ use rupam_workloads::Workload;
 use crate::harness::{
     run_stream_observed, run_stream_observed_cfg, run_workload_observed_cfg, Sched,
 };
-use crate::multitenant::{build_stream, MEAN_GAP_SECS, TENANTS};
+use crate::multitenant::{build_stream, build_weighted_stream, MEAN_GAP_SECS, TENANTS};
 use crate::spot;
 
 /// The chaos script shipped at the repository root, embedded so the
@@ -130,21 +132,20 @@ pub fn compute() -> Vec<(String, u64)> {
 
 /// The elastic spot tier: CI's elastic smoke (`rupam-sim --jobs 4
 /// --arrival-secs 5 --workload TeraSort --elastic spot-smoke.toml`,
-/// with and without `--faults chaos-smoke.toml`) and the contended
-/// spot-tail burst under two procurement policies.
+/// with and without `--faults chaos-smoke.toml`), the contended
+/// spot-tail burst under two procurement policies, and the same
+/// elastic-chaos smoke from KMeans and LR (KMeans once more with
+/// `--tenants a:3@0.4,b:1`).
 fn compute_elastic_paths(chaos_cfg: &SimConfig) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     let cluster = ClusterSpec::hydra();
     let elastic = ElasticConfig::parse_toml(SPOT_SMOKE_TOML).expect("committed spot script parses");
-    // `--jobs 4 --workload TeraSort` cycles the suite from TeraSort
-    let start = Workload::ALL
-        .iter()
-        .position(|&w| w == Workload::TeraSort)
-        .expect("TeraSort is in the suite");
-    let workloads: Vec<Workload> = (0..4)
-        .map(|i| Workload::ALL[(start + i) % Workload::ALL.len()])
-        .collect();
-    let smoke = build_stream(&cluster, &workloads, 5.0, ELASTIC_SMOKE_SEED);
+    let smoke = build_stream(
+        &cluster,
+        &smoke4(Workload::TeraSort),
+        5.0,
+        ELASTIC_SMOKE_SEED,
+    );
     for (name, faults) in [
         ("elastic", SimConfig::default()),
         ("elastic-chaos", chaos_cfg.clone()),
@@ -184,7 +185,72 @@ fn compute_elastic_paths(chaos_cfg: &SimConfig) -> Vec<(String, u64)> {
             obs.trace.expect("digest-only trace requested").digest(),
         ));
     }
+    // the elastic-chaos smoke over cache-reading workloads, and with the
+    // benchmark's tenants (`--tenants a:3@0.4,b:1`)
+    let elastic_chaos = SimConfig {
+        elastic,
+        ..chaos_cfg.clone()
+    };
+    let tenants = [("a", 3.0), ("b", 1.0)];
+    for (first, sched, weighted) in [
+        (Workload::KMeans, Sched::Rupam, false),
+        (Workload::LogisticRegression, Sched::Rupam, false),
+        (Workload::KMeans, Sched::RupamWith(deep_tenants()), true),
+    ] {
+        let stream = if weighted {
+            build_weighted_stream(&cluster, &smoke4(first), 5.0, ELASTIC_SMOKE_SEED, &tenants)
+        } else {
+            build_stream(&cluster, &smoke4(first), 5.0, ELASTIC_SMOKE_SEED)
+        };
+        let (_, obs) = run_stream_observed_cfg(
+            &cluster,
+            &stream,
+            &sched,
+            ELASTIC_SMOKE_SEED,
+            &digest_opts(),
+            &elastic_chaos,
+        );
+        out.push((
+            format!(
+                "elastic-chaos/hydra/{}/smoke4/{}",
+                first.short(),
+                sched.label()
+            ),
+            obs.trace.expect("digest-only trace requested").digest(),
+        ));
+    }
     out
+}
+
+/// `rupam-sim --jobs 4 --workload <first>`: four jobs cycling the suite
+/// from `first`.
+fn smoke4(first: Workload) -> Vec<Workload> {
+    let start = Workload::ALL
+        .iter()
+        .position(|&w| w == first)
+        .expect("every workload is in the suite");
+    (0..4)
+        .map(|i| Workload::ALL[(start + i) % Workload::ALL.len()])
+        .collect()
+}
+
+/// The benchmark's sim-deep scheduler: weighted-fair, a quota on the
+/// heavy tenant (`a:3@0.4,b:1`).
+fn deep_tenants() -> RupamConfig {
+    RupamConfig {
+        allocation: AllocationPolicy::WeightedFair,
+        tenants: vec![
+            TenantSpec {
+                weight: 3.0,
+                quota: Some(0.4),
+            },
+            TenantSpec {
+                weight: 1.0,
+                quota: None,
+            },
+        ],
+        ..RupamConfig::default()
+    }
 }
 
 /// The RUPAM configurations beyond the default: tenant scopes, gang
@@ -203,25 +269,11 @@ fn compute_rupam_paths(
         allocation,
         ..RupamConfig::default()
     };
-    // the benchmark's sim-deep scheduler: weighted-fair, a quota on the
-    // heavy tenant, and the fault script
-    let deep = RupamConfig {
-        tenants: vec![
-            TenantSpec {
-                weight: 3.0,
-                quota: Some(0.4),
-            },
-            TenantSpec {
-                weight: 1.0,
-                quota: None,
-            },
-        ],
-        ..policy(AllocationPolicy::WeightedFair)
-    };
+    // the benchmark's sim-deep scheduler runs under the fault script
     for (prefix, cfg, sim_cfg) in [
         ("stream", policy(AllocationPolicy::WeightedFair), &config),
         ("stream", policy(AllocationPolicy::Drf), &config),
-        ("chaos-stream", deep, chaos_cfg),
+        ("chaos-stream", deep_tenants(), chaos_cfg),
     ] {
         let sched = Sched::RupamWith(cfg);
         let (_, obs) = run_stream_observed_cfg(
@@ -395,7 +447,7 @@ mod tests {
     #[test]
     fn golden_file_parses_and_pins_by_name() {
         let all = parse(GOLDEN).expect("committed golden file parses");
-        assert!(all.len() >= 74);
+        assert!(all.len() >= 77);
         let (name, d) = &all[0];
         assert_eq!(pinned(name), Some(*d));
         assert_eq!(pinned("no/such/scenario"), None);

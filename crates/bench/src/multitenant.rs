@@ -19,7 +19,7 @@
 use rand::Rng;
 use rupam::RupamConfig;
 use rupam_cluster::ClusterSpec;
-use rupam_dag::{JobStream, MergedStream};
+use rupam_dag::{JobStream, MergedStream, TenantId};
 use rupam_metrics::table::{secs, Table};
 use rupam_simcore::time::SimTime;
 use rupam_simcore::{stats, RngFactory};
@@ -63,6 +63,48 @@ pub fn build_stream(
         );
         // exponential gap via inverse CDF; 1-u keeps the log argument
         // strictly positive
+        let u: f64 = arrivals.gen_range(0.0..1.0);
+        t += -mean_gap_secs * (1.0 - u).ln();
+    }
+    stream.merge()
+}
+
+/// [`build_stream`] with each submission attributed to a named tenant,
+/// drawn in proportion to its weight from `tenants` (`(name, weight)`
+/// pairs). The draws come from an independent seeded stream, so arrival
+/// times match the unweighted stream for the same seed. This is the
+/// stream `rupam-sim --jobs N --tenants ...` runs.
+pub fn build_weighted_stream(
+    cluster: &ClusterSpec,
+    workloads: &[Workload],
+    mean_gap_secs: f64,
+    seed: u64,
+    tenants: &[(&str, f64)],
+) -> MergedStream {
+    assert!(!tenants.is_empty(), "a weighted stream needs a tenant");
+    let total: f64 = tenants.iter().map(|t| t.1).sum();
+    let mut arrivals = RngFactory::new(seed).stream("stream-arrivals");
+    let mut picks = RngFactory::new(seed).stream("tenant-picks");
+    let mut stream = JobStream::new();
+    let mut t = 0.0f64;
+    for (i, &w) in workloads.iter().enumerate() {
+        let (app, layout) = w.build(cluster, &RngFactory::new(seed.wrapping_add(i as u64)));
+        let mut draw: f64 = picks.gen_range(0.0..total);
+        let mut tenant = tenants.len() - 1;
+        for (j, (_, weight)) in tenants.iter().enumerate() {
+            if draw < *weight {
+                tenant = j;
+                break;
+            }
+            draw -= weight;
+        }
+        stream.push_as(
+            format!("{}/{}#{i}", tenants[tenant].0, w.short()),
+            app,
+            layout,
+            SimTime::from_secs_f64(t),
+            TenantId(tenant),
+        );
         let u: f64 = arrivals.gen_range(0.0..1.0);
         t += -mean_gap_secs * (1.0 - u).ln();
     }

@@ -51,22 +51,19 @@
 use std::env;
 use std::process::exit;
 
-use rand::Rng;
 use rupam::{AllocationPolicy, RupamConfig, TenantSpec};
-use rupam_bench::multitenant::build_stream;
+use rupam_bench::multitenant::{self, build_stream};
 use rupam_bench::{
     placement_census, run_stream_cfg, run_stream_observed_cfg, run_workload_cfg,
     run_workload_observed_cfg, Sched,
 };
 use rupam_cluster::ClusterSpec;
-use rupam_dag::{JobStream, MergedStream, TenantId};
+use rupam_dag::MergedStream;
 use rupam_elastic::ElasticConfig;
 use rupam_exec::{AuditConfig, SimConfig, SimOptions};
 use rupam_faults::FaultScript;
 use rupam_metrics::timeline;
 use rupam_metrics::trace::DEFAULT_TRACE_CAPACITY;
-use rupam_simcore::time::SimTime;
-use rupam_simcore::RngFactory;
 use rupam_workloads::Workload;
 
 struct Options {
@@ -333,41 +330,19 @@ fn stream_tenants(opts: &Options) -> Vec<Workload> {
 }
 
 /// Build the `--tenants` stream: the same cycled workloads and seeded
-/// exponential arrival gaps as [`build_stream`], but each submission is
-/// attributed to a named tenant drawn proportionally to its weight
-/// (an independent seeded draw, so the arrival times match the
-/// unweighted stream for the same seed).
+/// exponential arrival gaps as [`build_stream`], each submission
+/// attributed to a named tenant drawn by weight.
 fn build_weighted_stream(opts: &Options) -> MergedStream {
-    let total: f64 = opts.tenants.iter().map(|t| t.weight).sum();
-    let mut arrivals = RngFactory::new(opts.seed).stream("stream-arrivals");
-    let mut picks = RngFactory::new(opts.seed).stream("tenant-picks");
-    let mut stream = JobStream::new();
-    let mut t = 0.0f64;
-    for (i, &w) in stream_tenants(opts).iter().enumerate() {
-        let (app, layout) = w.build(
-            &opts.cluster,
-            &RngFactory::new(opts.seed.wrapping_add(i as u64)),
-        );
-        let mut draw: f64 = picks.gen_range(0.0..total);
-        let mut tenant = opts.tenants.len() - 1;
-        for (j, spec) in opts.tenants.iter().enumerate() {
-            if draw < spec.weight {
-                tenant = j;
-                break;
-            }
-            draw -= spec.weight;
-        }
-        stream.push_as(
-            format!("{}/{}#{i}", opts.tenants[tenant].name, w.short()),
-            app,
-            layout,
-            SimTime::from_secs_f64(t),
-            TenantId(tenant),
-        );
-        let u: f64 = arrivals.gen_range(0.0..1.0);
-        t += -opts.arrival_secs * (1.0 - u).ln();
-    }
-    stream.merge()
+    let tenants: Vec<(&str, f64)> = (opts.tenants.iter())
+        .map(|t| (t.name.as_str(), t.weight))
+        .collect();
+    multitenant::build_weighted_stream(
+        &opts.cluster,
+        &stream_tenants(opts),
+        opts.arrival_secs,
+        opts.seed,
+        &tenants,
+    )
 }
 
 /// With `--tenants`, the RUPAM scheduler inherits the tenant weights as
@@ -522,7 +497,10 @@ fn run_one(opts: &Options, sched: &Sched) -> bool {
                     t.name, t.weight
                 );
             }
-            println!("  Jain index over per-tenant mean JCTs: {:.3}", report.tenant_jain_jct());
+            println!(
+                "  Jain index over per-tenant mean JCTs: {:.3}",
+                report.tenant_jain_jct()
+            );
         }
     }
     if opts.census {
