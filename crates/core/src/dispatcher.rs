@@ -1377,7 +1377,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::Rng;
         use rupam_dag::task::{InputSource, TaskDemand, TaskTemplate};
-        use rupam_exec::scheduler::{NodeShadowTable, PendingShadow, RunningTaskView};
+        use rupam_exec::offer_state::{OfferHost, OfferState, ShufflePrefs};
+        use rupam_exec::scheduler::RunningTaskView;
+        use rupam_exec::testutil::PendingShadow;
         use rupam_metrics::breakdown::{BreakdownCategory as C, TaskBreakdown};
         use rupam_metrics::record::{AttemptOutcome, TaskRecord};
         use rupam_simcore::time::SimDuration;
@@ -1584,7 +1586,7 @@ mod tests {
                 tm_ref.note_tenants(&job_tenants);
             }
             let mut cache = NodeQueueCache::new();
-            let mut node_shadow = NodeShadowTable::new();
+            let mut node_state = OfferState::new(&app, cluster.len());
             let mut pending_shadow = PendingShadow::new();
             let mut pending: BTreeMap<TaskRef, PendingTaskView> = BTreeMap::new();
             let mut launched: Vec<TaskRef> = Vec::new();
@@ -1627,12 +1629,18 @@ mod tests {
                         );
                     }
                 }
+                // every node moves at random: the shared offer state diffs
+                // them into `changed` as it does for both hosts
                 let nodes = random_views(&mut rng, &cluster);
+                for i in 0..nodes.len() {
+                    node_state.node_dirty(NodeId(i));
+                }
+                let views = node_state.round(&RandomViews(&nodes));
                 let pending_list: Vec<PendingTaskView> = pending.values().cloned().collect();
                 let input = OfferInput {
-                    changed: node_shadow.diff(&nodes),
+                    changed: views.changed,
                     pending_fresh: pending_shadow.fresh(&pending_list),
-                    ..offer(&cluster, &app, nodes, pending_list)
+                    ..offer(&cluster, &app, views.nodes, pending_list)
                 };
                 // tenants absent from the order are over quota this round
                 let order: Vec<TenantId> = if tenants {
@@ -1678,11 +1686,30 @@ mod tests {
                     })
                     .collect();
                 let OfferInput {
-                    pending: offered, ..
+                    nodes,
+                    pending: offered,
+                    ..
                 } = input;
+                node_state.settle(nodes, Vec::new(), &prod);
                 pending_shadow.settle(offered, &prod);
             }
             Ok(())
+        }
+
+        /// A round's random node views, offered through the shared
+        /// offer state; pending views come from [`PendingShadow`].
+        struct RandomViews<'v>(&'v [NodeView]);
+
+        impl OfferHost for RandomViews<'_> {
+            fn node_view(&self, node: NodeId) -> NodeView {
+                self.0[node.index()].clone()
+            }
+            fn heartbeat_age(&self, node: NodeId) -> SimDuration {
+                self.0[node.index()].heartbeat_age
+            }
+            fn pending_view(&self, _: TaskRef, _: &mut ShufflePrefs) -> Option<PendingTaskView> {
+                None
+            }
         }
 
         proptest! {

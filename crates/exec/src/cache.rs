@@ -124,10 +124,10 @@ impl ExecutorCache {
         evicted
     }
 
-    /// Wipe the cache (executor restart).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Wipe the cache (executor restart). Returns the wiped keys.
+    pub fn clear(&mut self) -> Vec<CacheKey> {
         self.used = ByteSize::ZERO;
+        self.entries.drain().map(|(k, _)| k).collect()
     }
 }
 

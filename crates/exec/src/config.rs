@@ -164,11 +164,6 @@ pub struct EngineConfig {
     pub heartbeat: SimDuration,
     /// Hard cap on processed events, as a runaway guard.
     pub max_events: u64,
-    /// Worker threads for parallel snapshot construction on big clusters
-    /// (`0` = auto: available parallelism, capped at 8). Never affects
-    /// results — views are pure per-node functions concatenated in node
-    /// order — only how they are built.
-    pub shard_count: usize,
 }
 
 impl Default for EngineConfig {
@@ -176,7 +171,6 @@ impl Default for EngineConfig {
         EngineConfig {
             heartbeat: SimDuration::from_secs(1),
             max_events: 50_000_000,
-            shard_count: 0,
         }
     }
 }

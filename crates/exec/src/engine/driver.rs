@@ -8,11 +8,15 @@
 //! the clock, recomputing contention rates, finding the next completion
 //! and dispatching calendar events.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 
-use rupam_cluster::monitor::{HeartbeatSnapshot, NodeMetrics};
+use rupam_cluster::monitor::HeartbeatSnapshot;
 use rupam_cluster::{NodeId, ResourceMonitor};
 use rupam_dag::app::JobId;
+use rupam_dag::task::CacheKey;
+use rupam_dag::TaskRef;
 use rupam_faults::FailureDetector;
 use rupam_metrics::record::TaskRecord;
 use rupam_simcore::calendar::Calendar;
@@ -25,7 +29,7 @@ use crate::scheduler::Scheduler;
 use super::events::{EngineEvent, EventBus, EventCtx};
 use super::state::{AttemptId, ClusterState};
 use super::{EngineError, SimInput, WORK_EPS};
-use crate::scheduler::{NodeShadowTable, PendingShadow};
+use crate::offer_state::OfferState;
 
 /// Calendar events the engine schedules for itself.
 #[derive(Clone, Copy, Debug)]
@@ -78,12 +82,13 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     /// The typed event bus every observer hangs off.
     pub(crate) bus: EventBus,
     pub(crate) round: u64,
-    /// Per-node snapshot of what the scheduler saw at the previous offer
-    /// round, diffed each round into [`crate::scheduler::OfferInput::changed`].
-    pub(crate) offer_shadow: NodeShadowTable,
-    /// Previous offer round's pending list and launches, diffed into
-    /// `OfferInput::pending_fresh`.
-    pub(crate) pending_shadow: PendingShadow,
+    /// The persistent node views and pending list offer rounds are
+    /// built from, kept current by dirty marks.
+    pub(crate) offers: OfferState,
+    /// Executor-cache key → the tasks reading it through
+    /// `InputSource::CachedOrHdfs` (whose `PROCESS_LOCAL` list a cache
+    /// change moves).
+    pub(crate) cache_readers: HashMap<CacheKey, Vec<TaskRef>>,
     /// Reusable buffer for one round's heartbeat batch (storm batching:
     /// the monitor is patched once per round, not once per node).
     pub(crate) hb_scratch: Vec<HeartbeatSnapshot>,
@@ -311,11 +316,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
         }
         best
-    }
-
-    /// Node-level utilisation snapshot from current phase occupancy.
-    pub(crate) fn node_metrics(&self, node_idx: usize) -> NodeMetrics {
-        self.snapshot_ctx().node_metrics(node_idx)
     }
 
     /// Sample every node's metrics and feed the monitor *one batch* for

@@ -30,7 +30,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // Real Spark jobs die with "Initial job has not accepted
         // any resources"; we abort the run likewise.
         let anything_running = self.state.anything_running();
-        let anything_pending = self.state.backlog() > 0;
+        let anything_pending = self.with_offers(|offers, host| offers.backlog(host)) > 0;
         // an empty cluster waiting for the next job arrival is
         // not a livelock — only count heartbeats where released
         // work sits unplaced
@@ -89,6 +89,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             .expect("gated by caller")
             .evaluate(self.now);
         for t in transitions {
+            // every transition flips the node's suspect or dead flag
+            self.offers.node_dirty(t.node);
             match t.to {
                 NodeHealth::Suspect => {
                     self.publish(EngineEvent::NodeSuspect {

@@ -54,14 +54,20 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     pub(crate) fn release_ready_stages(&mut self) {
         let ready = self.state.tracker.take_ready(self.input.app);
         for sid in ready {
-            // a stage re-blocked by lineage recompute can become ready a
-            // second time; schedulers must see on_stage_ready only once
-            if !self.state.stages[sid.index()].released {
-                self.state.stages[sid.index()].released = true;
-                self.sched
-                    .on_stage_ready(self.input.app.stage(sid), self.now);
-            }
+            self.release_stage(sid);
             self.need_offers = true;
+        }
+    }
+
+    /// `sid` became ready: its pending tasks join the offer state. A
+    /// stage re-blocked by lineage recompute can become ready a second
+    /// time; schedulers must see `on_stage_ready` only once.
+    fn release_stage(&mut self, sid: StageId) {
+        if !self.state.stages[sid.index()].released {
+            self.state.stages[sid.index()].released = true;
+            self.offers.stage_released(sid);
+            self.sched
+                .on_stage_ready(self.input.app.stage(sid), self.now);
         }
     }
 
@@ -97,9 +103,13 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let record = self.make_record(id, outcome);
         if !already_done {
             // register map outputs for reducers
-            self.state
+            if self
+                .state
                 .outputs
-                .record_win(self.input.app, task, node_id, attempt_no);
+                .record_win(self.input.app, task, node_id, attempt_no)
+            {
+                self.offers.outputs_moved(task.stage);
+            }
             self.state.stages[task.stage.index()]
                 .finished_secs
                 .push(record.duration().as_secs_f64());
@@ -132,13 +142,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             // stage/job bookkeeping
             let newly_ready = self.state.tracker.task_finished(self.input.app, task.stage);
             for sid in newly_ready {
-                // skip stages re-completing after a lineage recompute —
-                // schedulers must see on_stage_ready exactly once
-                if !self.state.stages[sid.index()].released {
-                    self.state.stages[sid.index()].released = true;
-                    self.sched
-                        .on_stage_ready(self.input.app.stage(sid), self.now);
-                }
+                self.release_stage(sid);
             }
             // stream-job completion (chain index == stream job index)
             let job = self.state.stage_jobs[task.stage.index()];
@@ -209,6 +213,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                     retries_exhausted = true;
                 }
                 *state = TaskState::Pending { attempt_no: next };
+                self.offers.task_dirty(task);
             }
         }
         if retries_exhausted {
@@ -446,7 +451,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
         let cfg = self.input.config;
         let node = &mut self.state.nodes[node_id.index()];
-        node.cache.clear();
+        let wiped = node.cache.clear();
         node.mem_in_use = ByteSize::ZERO;
         node.blocked_until = self.now + cfg.mem.jvm_restart;
         node.oom_epoch += 1;
@@ -455,5 +460,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             node.blocked_until,
             Event::ExecutorRestored { node: node_id },
         );
+        self.cache_changed(&wiped);
     }
 }

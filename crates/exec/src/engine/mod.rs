@@ -64,6 +64,7 @@ use rupam_simcore::units::ByteSize;
 use crate::audit::{AuditConfig, Violation};
 use crate::cache::ExecutorCache;
 use crate::config::SimConfig;
+use crate::offer_state::OfferState;
 use crate::scheduler::Scheduler;
 use crate::shuffle::MapOutputLedger;
 use crate::speculation::SpeculationSet;
@@ -336,7 +337,7 @@ pub(crate) fn assemble<'a, 's>(
         ),
     };
 
-    Engine {
+    let mut engine = Engine {
         input,
         sched: scheduler,
         source: Calendar::new(),
@@ -372,10 +373,12 @@ pub(crate) fn assemble<'a, 's>(
         idle_heartbeats: 0,
         bus,
         round: 0,
-        offer_shadow: crate::scheduler::NodeShadowTable::new(),
-        pending_shadow: crate::scheduler::PendingShadow::new(),
+        offers: OfferState::new(input.app, cluster.len()),
+        cache_readers: HashMap::new(),
         hb_scratch: Vec::new(),
-    }
+    };
+    engine.cache_readers = engine.cache_reader_index();
+    engine
 }
 
 fn run_sim(

@@ -156,15 +156,4 @@ impl ClusterState {
     pub(crate) fn anything_running(&self) -> bool {
         self.attempts.iter().any(|a| a.alive)
     }
-
-    /// Pending (schedulable) tasks of released stages.
-    pub(crate) fn backlog(&self) -> usize {
-        let pending = |s: &StageRt| {
-            s.tasks
-                .iter()
-                .filter(|t| matches!(t, TaskState::Pending { .. }))
-                .count()
-        };
-        self.stages.iter().filter(|s| s.released).map(pending).sum()
-    }
 }

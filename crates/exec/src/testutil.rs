@@ -1,17 +1,20 @@
-//! Shared scheduler fixtures for tests and benchmarks.
+//! Shared fixtures for tests and benchmarks.
 //!
 //! Deliberately naive [`Scheduler`] implementations that exercise the
-//! engine without any placement intelligence. They live in the library
+//! engine without any placement intelligence, and [`PendingShadow`], the
+//! reference `pending_fresh` rule tests check the production
+//! [`crate::offer_state::OfferState`] against. They live in the library
 //! (not under `#[cfg(test)]`) so that unit tests, integration tests and
-//! the bench harness all drive the engine through the same fixtures
-//! instead of each carrying a private copy.
+//! the bench harness all share the same fixtures instead of each
+//! carrying a private copy.
 
 use rupam_cluster::{ClusterSpec, NodeId};
 use rupam_dag::app::Application;
+use rupam_dag::TaskRef;
 use rupam_metrics::trace::LaunchReason;
 use rupam_simcore::units::ByteSize;
 
-use crate::scheduler::{Command, OfferInput, Scheduler};
+use crate::scheduler::{Command, OfferInput, PendingTaskView, Scheduler};
 
 /// A trivially greedy FIFO scheduler: fills every node's core slots in
 /// node order, ignores locality, memory pressure and speculation.
@@ -117,5 +120,101 @@ impl Scheduler for GpuFifo {
                 reason: LaunchReason::FifoSlot,
             })
             .collect()
+    }
+}
+
+/// The exact `pending_fresh` rule, as a reference: the previous round's
+/// pending list and the tasks that round's commands tried to launch.
+/// Diffing a round's pending list against it is one sorted merge-walk.
+/// [`crate::offer_state::OfferState`] must list at least these tasks.
+#[derive(Default)]
+pub struct PendingShadow {
+    pending: Vec<PendingTaskView>,
+    launched: Vec<TaskRef>,
+}
+
+impl PendingShadow {
+    /// An empty shadow: the first round lists every pending task.
+    pub fn new() -> Self {
+        PendingShadow::default()
+    }
+
+    /// The fresh list for this round's `pending` (sorted by `(stage,
+    /// index)`): every task that was not pending at the previous round,
+    /// whose view differs from that round's, or that the previous
+    /// round's commands named in a `Launch`.
+    pub fn fresh(&self, pending: &[PendingTaskView]) -> Vec<TaskRef> {
+        let mut prev = self.pending.iter().peekable();
+        pending
+            .iter()
+            .filter(|v| {
+                while prev.next_if(|p| p.task < v.task).is_some() {}
+                prev.peek() != Some(v) || self.launched.binary_search(&v.task).is_ok()
+            })
+            .map(|v| v.task)
+            .collect()
+    }
+
+    /// Remember a finished round: the pending list it offered and the
+    /// commands the scheduler answered with.
+    pub fn settle(&mut self, pending: Vec<PendingTaskView>, commands: &[Command]) {
+        self.pending = pending;
+        self.launched = commands
+            .iter()
+            .filter_map(|c| match c {
+                Command::Launch { task, .. } => Some(*task),
+                Command::KillAndRequeue { .. } => None,
+            })
+            .collect();
+        self.launched.sort_unstable();
+        self.launched.dedup();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rupam_dag::app::{JobId, StageId, StageKind};
+
+    #[test]
+    fn pending_shadow_lists_new_changed_and_relaunch_candidates() {
+        let task = |i| TaskRef {
+            stage: StageId(0),
+            index: i,
+        };
+        let at = |i, hint_mib| PendingTaskView {
+            task: task(i),
+            job: JobId(0),
+            template_key: "t".into(),
+            stage_kind: StageKind::ShuffleMap,
+            attempt_no: 0,
+            peak_mem_hint: ByteSize::mib(hint_mib),
+            gpu_capable: false,
+            process_nodes: vec![],
+            node_local: vec![],
+        };
+        let mut shadow = PendingShadow::new();
+        let round1 = vec![at(0, 1), at(1, 1), at(2, 1), at(3, 1)];
+        assert_eq!(
+            shadow.fresh(&round1),
+            vec![task(0), task(1), task(2), task(3)]
+        );
+        let launch = |i| Command::Launch {
+            task: task(i),
+            node: NodeId(0),
+            use_gpu: false,
+            speculative: false,
+            reason: LaunchReason::SafetyValve,
+        };
+        // 0 launched and left; 1's launch was dropped; 2 is unchanged;
+        // 3's view changed; 4 is new
+        shadow.settle(round1, &[launch(0), launch(1)]);
+        let round2 = vec![at(1, 1), at(2, 1), at(3, 9), at(4, 1)];
+        assert_eq!(shadow.fresh(&round2), vec![task(1), task(3), task(4)]);
+        shadow.settle(round2.clone(), &[]);
+        assert!(
+            shadow.fresh(&round2).is_empty(),
+            "a quiet round lists nothing"
+        );
     }
 }
