@@ -579,3 +579,112 @@ fn cache_hit_upgrades_locality() {
         second_job.iter().map(|r| r.locality).collect::<Vec<_>>()
     );
 }
+
+/// Runs one task at a time per node: task `i` of every stage on node
+/// `i % 2`, any retry on node 0. Everything else waits pending.
+struct Trickle;
+
+impl Scheduler for Trickle {
+    fn name(&self) -> &str {
+        "trickle"
+    }
+    fn executor_memory(&self, _: &ClusterSpec, n: NodeId) -> ByteSize {
+        // a small executor on node 1: its cache holds one partition,
+        // and an oversized task there kills the whole executor
+        [ByteSize::gib(40), ByteSize::gib(8)][n.index()]
+    }
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let mut busy: Vec<bool> = (input.nodes.iter())
+            .map(|v| v.blocked || !v.running.is_empty())
+            .collect();
+        let mut cmds = Vec::new();
+        for p in &input.pending {
+            let n = if p.attempt_no > 0 {
+                0
+            } else {
+                p.task.index % 2
+            };
+            if !busy[n] {
+                busy[n] = true;
+                cmds.push(Command::Launch {
+                    task: p.task,
+                    node: NodeId(n),
+                    use_gpu: false,
+                    speculative: false,
+                    reason: rupam_metrics::trace::LaunchReason::FifoSlot,
+                });
+            }
+        }
+        cmds
+    }
+}
+
+/// Executor-cache changes reach the views of pending tasks that read the
+/// changed partitions: a producer stage caches partitions while a reader
+/// stage waits pending, node 1's one-partition cache evicts on every
+/// insert, an oversized producer kills node 1's executor, and a crash
+/// wipes node 0. In debug builds every offer round checks each pending
+/// view's `process_nodes` against the caches.
+#[test]
+fn cache_changes_refresh_pending_readers() {
+    let cluster = ClusterSpec::homogeneous(2);
+    let mut rng = RngFactory::new(4).stream("layout");
+    let mut layout = DataLayout::new();
+    let blocks = layout.place_blocks(&cluster, &[ByteSize::mib(128); 6], 1, &mut rng);
+    let demand = |peak_gib: u64, cached_gib: u64| TaskDemand {
+        compute: 2.0 * peak_gib as f64,
+        input_bytes: ByteSize::mib(128),
+        peak_mem: ByteSize::gib(peak_gib),
+        cached_bytes: ByteSize::gib(cached_gib),
+        ..TaskDemand::default()
+    };
+    let mut b = AppBuilder::new("cache-churn");
+    let j = b.begin_job();
+    // producers: each caches a 3 GiB partition; the last one (node 1)
+    // needs 12 GiB and kills the 8 GiB executor there
+    let produce = (0..6)
+        .map(|i| rupam_dag::task::TaskTemplate {
+            index: i,
+            input: InputSource::Generated,
+            demand: demand(if i == 5 { 12 } else { 1 }, 3),
+        })
+        .collect();
+    b.add_stage(
+        j,
+        "produce",
+        "cache/data",
+        StageKind::ShuffleMap,
+        vec![],
+        produce,
+    );
+    // readers of those partitions, released at the start alongside
+    let read = (blocks.iter().enumerate())
+        .map(|(i, blk)| rupam_dag::task::TaskTemplate {
+            index: i,
+            input: InputSource::CachedOrHdfs {
+                key: CacheKey::new("cache/data", i),
+                fallback: *blk,
+            },
+            demand: demand(1, 0),
+        })
+        .collect();
+    b.add_stage(j, "read", "cache/read", StageKind::Result, vec![], read);
+    let app = b.build();
+    let script = rupam_faults::FaultScript::parse_toml(
+        "[[fault]]\nat = 5\nnode = 0\nkind = \"crash\"\n\n\
+         [[fault]]\nat = 6\nnode = 0\nkind = \"restart\"\n",
+    )
+    .expect("script parses");
+    let cfg = SimConfig::with_faults(script);
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 3,
+    };
+    let report = simulate(&input, &mut Trickle);
+    assert!(report.completed);
+    assert!(report.executor_losses > 0);
+    assert_eq!(report.faults.crashes, 1);
+}

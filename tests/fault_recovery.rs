@@ -170,6 +170,47 @@ fn chaos_runs_lose_no_tasks_across_suite() {
     }
 }
 
+/// A crash every 3 s for two minutes, each node back 4 s later: map
+/// outputs die and re-run while the reduce stages that read them still
+/// have pending tasks. The runs must complete with an empty audit, and in
+/// debug builds every offer round also checks the persistent offer state
+/// against a from-scratch build — so a stale shuffle preference (a
+/// re-run map output that did not refresh its consumers) fails here.
+#[test]
+fn crash_storm_recomputes_outputs_under_pending_reducers() {
+    use rupam_faults::{FaultKind, FaultSpec};
+    let cluster = ClusterSpec::hydra();
+    let storm = (0..40u64).flat_map(|k| {
+        let node = NodeId((k as usize * 5) % cluster.len());
+        let at = |secs| SimTime::from_secs_f64(secs as f64);
+        [
+            FaultSpec {
+                at: at(3 + 3 * k),
+                node,
+                kind: FaultKind::Crash,
+            },
+            FaultSpec {
+                at: at(7 + 3 * k),
+                node,
+                kind: FaultKind::Restart,
+            },
+        ]
+    });
+    let config = SimConfig::with_faults(FaultScript::new(storm.collect()));
+    for w in [Workload::TeraSort, Workload::TriangleCount] {
+        let (report, obs) = run_workload_observed_cfg(
+            &cluster,
+            w,
+            &Sched::Rupam,
+            101,
+            &SimOptions::audited(),
+            &config,
+        );
+        assert_no_lost_tasks(w, &report, &obs);
+        assert!(report.faults.map_outputs_recomputed > 0, "{w:?}");
+    }
+}
+
 // ---- meta-test: a corrupted recovery decision must trip the auditor ----
 
 fn tiny_app() -> Application {
