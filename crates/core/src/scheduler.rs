@@ -12,6 +12,7 @@
 //! 4. engine-flagged speculatable tasks are relocated to the best node
 //!    for their recorded bottleneck.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use rupam_simcore::time::{SimDuration, SimTime};
@@ -29,7 +30,7 @@ use rupam_metrics::trace::LaunchReason;
 use crate::alloc::{quota_preemption_commands, AllocSession, AllocationPolicy, PreemptState};
 use crate::config::RupamConfig;
 use crate::dispatcher::Dispatcher;
-use crate::rm::NodeQueueCache;
+use crate::rm::{NodeQueueCache, ResourceQueues};
 use crate::straggler::{
     gpu_race_commands, memory_straggler_commands, relocation_target, resource_straggler_candidates,
     StragglerState,
@@ -115,6 +116,141 @@ impl RupamScheduler {
     pub fn clear_db(&self) {
         self.tm.clear_db();
     }
+
+    /// One offer round (the module docs' steps 0–4). `relocate(kind,
+    /// avoid)` places a relocated copy; the resource stragglers of step
+    /// 2 and the speculatable tasks of step 4 both go through it. It is a
+    /// parameter so tests can check the shared per-round ranking of
+    /// [`Scheduler::offer_round`] against a rebuild per relocation.
+    fn offer_round_with(
+        &mut self,
+        input: &OfferInput<'_>,
+        relocate: impl Fn(ResourceKind, NodeId) -> Option<NodeId>,
+    ) -> Vec<Command> {
+        // 0. tenant-aware runs refresh the job → tenant map before any
+        //    ingestion, so every enqueue lands in the right shard
+        let tenant_aware = self.cfg.tenant_aware();
+        if tenant_aware {
+            self.tm.note_tenants(&input.job_tenants);
+        }
+
+        // 1. submit newly pending tasks to the TM queues: by the
+        //    `pending_fresh` warranty, anything unlisted is either already
+        //    queued with an unchanged view or left the queues through this
+        //    scheduler's own commands
+        self.tm.ingest_fresh(&input.pending, &input.pending_fresh);
+        debug_assert!(
+            input.pending.iter().all(|v| self.tm.is_current(v)),
+            "pending_fresh warranty broken: a pending task is unqueued or \
+             queued under a stale classification"
+        );
+
+        let mut cmds = Vec::new();
+
+        // 2. straggler handling
+        if self.cfg.straggler_handling {
+            cmds.extend(memory_straggler_commands(
+                &self.cfg,
+                &mut self.straggler,
+                input,
+            ));
+            cmds.extend(gpu_race_commands(
+                &self.cfg,
+                &mut self.straggler,
+                input,
+                &self.tm,
+            ));
+            for (task, bad_node) in resource_straggler_candidates(&self.cfg, input, &self.tm) {
+                let kind = self
+                    .stage_templates
+                    .get(&task.stage)
+                    .and_then(|t| self.tm.db().read(&crate::db::TaskKey::new(*t, task.index)))
+                    .and_then(|c| c.last_bottleneck)
+                    .unwrap_or(ResourceKind::Cpu);
+                if let Some(target) = relocate(kind, bad_node) {
+                    cmds.push(Command::Launch {
+                        task,
+                        node: target,
+                        use_gpu: kind == ResourceKind::Gpu,
+                        speculative: true,
+                        reason: LaunchReason::Relocation { bottleneck: kind },
+                    });
+                }
+            }
+        }
+
+        // 2.5 tenant allocation: freeze the session snapshot, reclaim
+        //     capacity from over-quota tenants, and compute the order
+        //     the Dispatcher serves tenants in this round. The FIFO
+        //     baseline serves one shared scope.
+        let order: Vec<TenantId> = if tenant_aware {
+            let tenant_count = input
+                .job_tenants
+                .iter()
+                .map(|t| t.index() + 1)
+                .max()
+                .unwrap_or(1)
+                .max(self.cfg.tenants.len());
+            let tm = &self.tm;
+            let tenant_of = |stage| tm.tenant_of_stage(stage);
+            let session = AllocSession::snapshot(&self.cfg, input, tenant_count, &tenant_of);
+            cmds.extend(quota_preemption_commands(
+                &self.cfg,
+                &session,
+                &mut self.preempt,
+                input,
+                &tenant_of,
+            ));
+            // over-quota tenants are skipped for the round: they are
+            // surrendering capacity, not receiving more
+            session
+                .order(self.cfg.allocation)
+                .into_iter()
+                .filter(|&t| !session.over_quota(t))
+                .collect()
+        } else {
+            vec![TenantId(0)]
+        };
+
+        // 3. Algorithm 2 dispatch
+        cmds.extend(Dispatcher::new(&self.cfg, input).dispatch(
+            &mut self.tm,
+            &mut self.node_cache,
+            &order,
+        ));
+
+        // 4. engine-flagged stragglers: relocate to the best node for
+        //    the task's recorded bottleneck
+        for s in &input.speculatable {
+            let kind =
+                self.tm
+                    .lookup(s)
+                    .and_then(|c| c.last_bottleneck)
+                    .unwrap_or(if s.gpu_capable {
+                        ResourceKind::Gpu
+                    } else {
+                        ResourceKind::Cpu
+                    });
+            // find where the original runs so the copy lands elsewhere
+            let original_node = input
+                .nodes
+                .iter()
+                .find(|v| v.running.iter().any(|r| r.task == s.task))
+                .map(|v| v.node)
+                .unwrap_or(NodeId(0));
+            if let Some(target) = relocate(kind, original_node) {
+                cmds.push(Command::Launch {
+                    task: s.task,
+                    node: target,
+                    use_gpu: kind == ResourceKind::Gpu && s.gpu_capable,
+                    speculative: true,
+                    reason: LaunchReason::Relocation { bottleneck: kind },
+                });
+            }
+        }
+
+        cmds
+    }
 }
 
 impl Scheduler for RupamScheduler {
@@ -195,129 +331,13 @@ impl Scheduler for RupamScheduler {
     }
 
     fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
-        // 0. tenant-aware runs refresh the job → tenant map before any
-        //    ingestion, so every enqueue lands in the right shard
-        let tenant_aware = self.cfg.tenant_aware();
-        if tenant_aware {
-            self.tm.note_tenants(&input.job_tenants);
-        }
-
-        // 1. submit newly pending tasks to the TM queues: by the
-        //    `pending_fresh` warranty, anything unlisted is either already
-        //    queued with an unchanged view or left the queues through this
-        //    scheduler's own commands
-        self.tm.ingest_fresh(&input.pending, &input.pending_fresh);
-        debug_assert!(
-            input.pending.iter().all(|v| self.tm.is_current(v)),
-            "pending_fresh warranty broken: a pending task is unqueued or \
-             queued under a stale classification"
-        );
-
-        let mut cmds = Vec::new();
-
-        // 2. straggler handling
-        if self.cfg.straggler_handling {
-            cmds.extend(memory_straggler_commands(
-                &self.cfg,
-                &mut self.straggler,
-                input,
-            ));
-            cmds.extend(gpu_race_commands(
-                &self.cfg,
-                &mut self.straggler,
-                input,
-                &self.tm,
-            ));
-            for (task, bad_node) in resource_straggler_candidates(&self.cfg, input, &self.tm) {
-                let kind = self
-                    .stage_templates
-                    .get(&task.stage)
-                    .and_then(|t| self.tm.db().read(&crate::db::TaskKey::new(*t, task.index)))
-                    .and_then(|c| c.last_bottleneck)
-                    .unwrap_or(ResourceKind::Cpu);
-                if let Some(target) = relocation_target(input, kind, bad_node) {
-                    cmds.push(Command::Launch {
-                        task,
-                        node: target,
-                        use_gpu: kind == ResourceKind::Gpu,
-                        speculative: true,
-                        reason: LaunchReason::Relocation { bottleneck: kind },
-                    });
-                }
-            }
-        }
-
-        // 2.5 tenant allocation: freeze the session snapshot, reclaim
-        //     capacity from over-quota tenants, and compute the order
-        //     the Dispatcher serves tenants in this round. The FIFO
-        //     baseline serves one shared scope.
-        let order: Vec<TenantId> = if tenant_aware {
-            let tenant_count = input
-                .job_tenants
-                .iter()
-                .map(|t| t.index() + 1)
-                .max()
-                .unwrap_or(1)
-                .max(self.cfg.tenants.len());
-            let tm = &self.tm;
-            let tenant_of = |stage| tm.tenant_of_stage(stage);
-            let session = AllocSession::snapshot(&self.cfg, input, tenant_count, &tenant_of);
-            cmds.extend(quota_preemption_commands(
-                &self.cfg,
-                &session,
-                &mut self.preempt,
-                input,
-                &tenant_of,
-            ));
-            // over-quota tenants are skipped for the round: they are
-            // surrendering capacity, not receiving more
-            session
-                .order(self.cfg.allocation)
-                .into_iter()
-                .filter(|&t| !session.over_quota(t))
-                .collect()
-        } else {
-            vec![TenantId(0)]
-        };
-
-        // 3. Algorithm 2 dispatch
-        cmds.extend(Dispatcher::new(&self.cfg, input).dispatch(
-            &mut self.tm,
-            &mut self.node_cache,
-            &order,
-        ));
-
-        // 4. engine-flagged stragglers: relocate to the best node for
-        //    the task's recorded bottleneck
-        for s in &input.speculatable {
-            let kind =
-                self.tm
-                    .lookup(s)
-                    .and_then(|c| c.last_bottleneck)
-                    .unwrap_or(if s.gpu_capable {
-                        ResourceKind::Gpu
-                    } else {
-                        ResourceKind::Cpu
-                    });
-            // find where the original runs so the copy lands elsewhere
-            let original_node = input
-                .nodes
-                .iter()
-                .find(|v| v.running.iter().any(|r| r.task == s.task))
-                .map(|v| v.node)
-                .unwrap_or(NodeId(0));
-            if let Some(target) = relocation_target(input, kind, original_node) {
-                cmds.push(Command::Launch {
-                    task: s.task,
-                    node: target,
-                    use_gpu: kind == ResourceKind::Gpu && s.gpu_capable,
-                    speculative: true,
-                    reason: LaunchReason::Relocation { bottleneck: kind },
-                });
-            }
-        }
-
-        cmds
+        // steps 2 and 4 rank the same immutable snapshot: build the
+        // Resource Queues on the first relocation, then share them
+        let ranking = OnceCell::new();
+        self.offer_round_with(input, |kind, avoid| {
+            let queues = ranking.get_or_init(|| ResourceQueues::build(input.cluster, &input.nodes));
+            relocation_target(input, queues, kind, avoid)
+        })
     }
 
     fn audit_round(&self, input: &OfferInput<'_>) -> Vec<String> {
@@ -650,5 +670,266 @@ mod tests {
             report.gpu_task_count() > 0,
             "no work reached the stack GPUs"
         );
+    }
+
+    /// The per-round shared ranking against the reference rule, which
+    /// rebuilds the Resource Queues for every relocation: both get
+    /// identical TM histories and snapshots and must emit identical
+    /// command lists every round, on the paper cluster and on the 64-
+    /// and 256-node shapes. Rounds carry several resource-straggler
+    /// candidates and speculatable tasks at once.
+    mod shared_ranking {
+        use super::*;
+        use rand::rngs::StdRng;
+        use rand::Rng;
+        use rupam_dag::app::JobId;
+        use rupam_dag::{Locality, TaskRef};
+        use rupam_exec::scheduler::{NodeView, PendingTaskView, RunningTaskView};
+        use rupam_metrics::breakdown::{BreakdownCategory as C, TaskBreakdown};
+
+        /// Tasks per stage: enough for every running slot to hold a
+        /// distinct task on the 256-node shape.
+        const TASKS: usize = 1024;
+        /// Stages 0 and 1 run (1 is GPU-capable); stage 2 waits pending.
+        const PENDING_STAGE: usize = 2;
+
+        /// The reference rule: a fresh ranking for every relocation.
+        fn rebuilt_target(
+            input: &OfferInput<'_>,
+            kind: ResourceKind,
+            avoid: NodeId,
+        ) -> Option<NodeId> {
+            let queues = ResourceQueues::build(input.cluster, &input.nodes);
+            relocation_target(input, &queues, kind, avoid)
+        }
+
+        /// One single-stage job per stage.
+        fn app() -> Application {
+            let mut b = rupam_dag::AppBuilder::new("ranking");
+            for (s, gpu_kernels) in [0.0, 8.0, 0.0].into_iter().enumerate() {
+                let j = b.begin_job();
+                let tasks = (0..TASKS)
+                    .map(|index| TaskTemplate {
+                        index,
+                        input: InputSource::Generated,
+                        demand: TaskDemand {
+                            compute: 10.0,
+                            gpu_kernels,
+                            peak_mem: ByteSize::mib(512),
+                            ..TaskDemand::default()
+                        },
+                    })
+                    .collect();
+                b.add_stage(
+                    j,
+                    "s",
+                    format!("ranking/s{s}"),
+                    StageKind::Result,
+                    vec![],
+                    tasks,
+                );
+            }
+            b.build()
+        }
+
+        fn task(stage: usize, index: usize) -> TaskRef {
+            TaskRef {
+                stage: StageId(stage),
+                index,
+            }
+        }
+
+        /// A 1–3 s finished attempt of `task` that Algorithm 1 classifies
+        /// under a random bottleneck kind.
+        fn record(rng: &mut StdRng, app: &Application, task: TaskRef, nodes: usize) -> TaskRecord {
+            let kind = ResourceKind::ALL[rng.gen_range(0..ResourceKind::ALL.len())];
+            let (compute, sread, swrite): (u64, u64, u64) = match kind {
+                ResourceKind::Net => (1, 10, 1),
+                ResourceKind::Io => (1, 1, 10),
+                _ => (10, 1, 1),
+            };
+            let mut breakdown = TaskBreakdown::new();
+            breakdown.add(C::Compute, SimDuration::from_secs(compute));
+            breakdown.add(C::ShuffleNet, SimDuration::from_secs(sread));
+            breakdown.add(C::ShuffleWrite, SimDuration::from_secs(swrite));
+            TaskRecord {
+                task,
+                job: JobId(task.stage.index()),
+                template_key: app.stage(task.stage).template_key,
+                attempt: 0,
+                node: NodeId(rng.gen_range(0..nodes)),
+                speculative: false,
+                locality: Locality::Any,
+                launched_at: SimTime::ZERO,
+                finished_at: SimTime::from_secs_f64(rng.gen_range(1.0..3.0)),
+                outcome: AttemptOutcome::Success,
+                breakdown,
+                peak_mem: ByteSize::gib(if kind == ResourceKind::Mem { 30 } else { 1 }),
+                used_gpu: kind == ResourceKind::Gpu,
+            }
+        }
+
+        fn pending_view(app: &Application, task: TaskRef) -> PendingTaskView {
+            let stage = app.stage(task.stage);
+            PendingTaskView {
+                task,
+                job: JobId(task.stage.index()),
+                template_key: stage.template_key,
+                stage_kind: stage.kind,
+                attempt_no: 0,
+                peak_mem_hint: ByteSize::ZERO,
+                gpu_capable: stage.tasks[task.index].demand.is_gpu_capable(),
+                process_nodes: vec![],
+                node_local: vec![],
+            }
+        }
+
+        /// Random node views: about a third of the nodes contended (or
+        /// suspect), a few blocked, each running up to three distinct
+        /// tasks of stages 0 and 1 for 0–20 s.
+        fn random_views(rng: &mut StdRng, cluster: &ClusterSpec) -> Vec<NodeView> {
+            let mut next = [0usize; 2];
+            (cluster.iter())
+                .map(|(node, spec)| {
+                    let executor_mem = spec.mem.saturating_sub(ByteSize::gib(2));
+                    let running: Vec<RunningTaskView> = (0..rng.gen_range(0..=3usize))
+                        .map(|_| {
+                            let s = rng.gen_range(0..2);
+                            next[s] += 1;
+                            RunningTaskView {
+                                task: task(s, next[s] - 1),
+                                speculative: rng.gen_bool(0.1),
+                                elapsed: SimDuration::from_secs(rng.gen_range(0..20)),
+                                peak_mem: ByteSize::mib(512),
+                                on_gpu: false,
+                            }
+                        })
+                        .collect();
+                    let mut util = || {
+                        if rng.gen_bool(0.1) {
+                            rng.gen_range(0.9..1.0)
+                        } else {
+                            rng.gen_range(0.0..0.9)
+                        }
+                    };
+                    let (cpu_util, net_util, disk_util) = (util(), util(), util());
+                    NodeView {
+                        node,
+                        executor_mem,
+                        mem_in_use: ByteSize::ZERO,
+                        free_mem: executor_mem,
+                        running,
+                        cpu_util,
+                        net_util,
+                        disk_util,
+                        gpus_idle: spec.gpus,
+                        blocked: rng.gen_bool(0.05),
+                        heartbeat_age: SimDuration::ZERO,
+                        dead: false,
+                        suspect: rng.gen_bool(0.05),
+                        tier: rupam_cluster::NodeTier::OnDemand,
+                        draining: false,
+                        preempt_risk: 0.0,
+                    }
+                })
+                .collect()
+        }
+
+        /// Runs 8 rounds of one seed on one shape; returns the most
+        /// resource-straggler and speculatable relocations any single
+        /// round emitted.
+        fn run_case(seed: u64, cluster: &ClusterSpec) -> (usize, usize) {
+            let app = app();
+            let mut rng = rupam_simcore::RngFactory::new(seed).stream("shared-ranking");
+            let (mut prod, mut reference) = (
+                RupamScheduler::with_defaults(),
+                RupamScheduler::with_defaults(),
+            );
+            for s in [&mut prod, &mut reference] {
+                s.on_app_start(&app, cluster);
+            }
+            let mut pending: Vec<TaskRef> = (0..96).map(|i| task(PENDING_STAGE, i)).collect();
+            let mut most = (0, 0);
+            for round in 0..8 {
+                for _ in 0..64 {
+                    let t = task(rng.gen_range(0..2), rng.gen_range(0..TASKS));
+                    let r = record(&mut rng, &app, t, cluster.len());
+                    prod.on_task_finished(&r, SimTime::ZERO);
+                    reference.on_task_finished(&r, SimTime::ZERO);
+                }
+                let nodes = random_views(&mut rng, cluster);
+                // originals on calm nodes: never resource stragglers too
+                let calm: Vec<TaskRef> = (nodes.iter())
+                    .filter(|v| v.cpu_util.max(v.net_util).max(v.disk_util) <= 0.9 && !v.suspect)
+                    .flat_map(|v| v.running.iter().filter(|r| !r.speculative))
+                    .map(|r| r.task)
+                    .collect();
+                let speculatable: Vec<PendingTaskView> = (0..6)
+                    .map(|_| pending_view(&app, calm[rng.gen_range(0..calm.len())]))
+                    .collect();
+                let pending_views: Vec<PendingTaskView> =
+                    pending.iter().map(|&t| pending_view(&app, t)).collect();
+                let input = OfferInput {
+                    now: SimTime::from_secs_f64(100.0 + round as f64),
+                    cluster,
+                    app: &app,
+                    nodes,
+                    pending: pending_views,
+                    speculatable,
+                    job_arrivals: vec![SimTime::ZERO; 3],
+                    job_tenants: vec![TenantId(0); 3],
+                    changed: None,
+                    pending_fresh: pending.clone(),
+                };
+                let shared = prod.offer_round(&input);
+                let rebuilt =
+                    reference.offer_round_with(&input, |k, a| rebuilt_target(&input, k, a));
+                assert_eq!(
+                    shared,
+                    rebuilt,
+                    "round {round} diverged (seed {seed}, {} nodes)",
+                    cluster.len()
+                );
+                let relocated = |speculatable: bool| {
+                    (shared.iter())
+                        .filter(|c| match c {
+                            Command::Launch {
+                                task,
+                                reason: LaunchReason::Relocation { .. },
+                                ..
+                            } => input.speculatable.iter().any(|s| s.task == *task) == speculatable,
+                            _ => false,
+                        })
+                        .count()
+                };
+                most = (most.0.max(relocated(false)), most.1.max(relocated(true)));
+                pending.retain(|t| {
+                    !shared
+                        .iter()
+                        .any(|c| matches!(c, Command::Launch { task, .. } if task == t))
+                });
+            }
+            most
+        }
+
+        #[test]
+        fn shared_ranking_matches_per_call_rebuild() {
+            for cluster in [
+                ClusterSpec::hydra(),
+                ClusterSpec::hydra_mix(48, 8, 8),
+                ClusterSpec::hydra_mix(192, 32, 32),
+            ] {
+                let mut most = (0, 0);
+                for seed in 0..3 {
+                    let (stragglers, speculatable) = run_case(seed, &cluster);
+                    most = (most.0.max(stragglers), most.1.max(speculatable));
+                }
+                assert!(
+                    most.0 >= 2 && most.1 >= 2,
+                    "{} nodes: a round needs several relocations of each kind, got {most:?}",
+                    cluster.len()
+                );
+            }
+        }
     }
 }

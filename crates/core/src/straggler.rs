@@ -24,6 +24,7 @@ use rupam_exec::scheduler::{Command, KillReason, NodeView, OfferInput};
 use rupam_metrics::trace::LaunchReason;
 
 use crate::config::RupamConfig;
+use crate::rm::ResourceQueues;
 use crate::tm::TaskManager;
 
 /// Per-node cooldown state for memory-straggler kills.
@@ -203,13 +204,14 @@ pub fn resource_straggler_candidates(
 
 /// Pick the placement node for a speculative copy of a task whose known
 /// bottleneck is `kind`: the best-capability, least-utilised node of that
-/// kind that is not the straggling node.
+/// kind that is not the straggling node. `queues` is the ranking of
+/// `input`'s snapshot; one build serves every candidate of a round.
 pub fn relocation_target(
     input: &OfferInput<'_>,
+    queues: &ResourceQueues,
     kind: ResourceKind,
     avoid: NodeId,
 ) -> Option<NodeId> {
-    let queues = crate::rm::ResourceQueues::build(input.cluster, &input.nodes);
     queues
         .nodes(kind)
         .iter()
@@ -520,7 +522,8 @@ mod tests {
             changed: None,
             pending_fresh: vec![],
         };
-        let target = relocation_target(&input, ResourceKind::Cpu, NodeId(0)).unwrap();
+        let queues = ResourceQueues::build(&cluster, &input.nodes);
+        let target = relocation_target(&input, &queues, ResourceKind::Cpu, NodeId(0)).unwrap();
         assert_ne!(target, NodeId(0));
         assert_eq!(cluster.node(target).class, "thor");
     }

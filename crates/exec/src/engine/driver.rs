@@ -165,14 +165,18 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 cfg.engine.max_events
             );
 
+            debug_assert!(
+                self.state.live_lists_consistent(),
+                "the nodes' running lists must hold exactly the alive attempts, each once"
+            );
             self.recompute_rates();
             self.record_utilization();
 
             let next_completion = self.next_completion();
             let next_event = self.source.peek_time();
             let target = match (next_completion, next_event) {
-                (Some((tc, _)), Some(te)) => tc.min(te),
-                (Some((tc, _)), None) => tc,
+                (Some(tc), Some(te)) => tc.min(te),
+                (Some(tc), None) => tc,
                 (None, Some(te)) => te,
                 (None, None) => {
                     // no running attempts and no pending events while
@@ -185,16 +189,15 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
 
             self.advance_to(target);
 
-            // complete all phases that just hit zero (deterministic order)
-            let finished: Vec<AttemptId> = (0..self.state.attempts.len())
-                .filter(|&i| {
-                    self.state.attempts[i].alive
-                        && self.state.attempts[i]
-                            .current_phase()
-                            .map(|p| p.work <= WORK_EPS)
-                            .unwrap_or(false)
+            // complete all phases that just hit zero, in attempt-id order
+            // so same-instant completions (a race's winner and its
+            // `LostRace` sibling) resolve by launch order, not node order
+            let mut finished: Vec<AttemptId> = (self.state.live())
+                .filter(|&id| {
+                    (self.state.attempts[id].current_phase()).is_some_and(|p| p.work <= WORK_EPS)
                 })
                 .collect();
+            finished.sort_unstable();
             for id in finished {
                 // completing an attempt may kill its race siblings; a
                 // sibling that was due to finish at this very instant is
@@ -235,7 +238,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let dt = target.since(self.now);
         if !dt.is_zero() {
             let secs = dt.as_secs_f64();
-            for a in self.state.attempts.iter_mut().filter(|a| a.alive) {
+            let ClusterState {
+                nodes, attempts, ..
+            } = &mut self.state;
+            for &id in nodes.iter().flat_map(|n| &n.running) {
+                let a = &mut attempts[id];
                 if let Some(phase) = a.phases.front_mut() {
                     phase.work = (phase.work - a.rate * secs).max(0.0);
                     a.breakdown.add(phase.category, dt);
@@ -295,27 +302,22 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
     }
 
-    fn next_completion(&self) -> Option<(SimTime, AttemptId)> {
-        let mut best: Option<(SimTime, AttemptId)> = None;
-        for (id, a) in self.state.attempts.iter().enumerate() {
-            if !a.alive {
-                continue;
-            }
-            if let Some(p) = a.current_phase() {
+    /// The earliest instant any live attempt finishes its current phase.
+    fn next_completion(&self) -> Option<SimTime> {
+        (self.state.live())
+            .filter_map(|id| {
+                let a = &self.state.attempts[id];
+                let p = a.current_phase()?;
                 // round UP to the next microsecond: rounding down would
                 // leave sub-µs work remainders that never complete
-                let eta = if p.work <= WORK_EPS {
+                Some(if p.work <= WORK_EPS {
                     self.now
                 } else {
                     let micros = (p.work / a.rate * 1e6).ceil() as u64;
                     self.now + SimDuration(micros.max(1))
-                };
-                if best.map(|(t, _)| eta < t).unwrap_or(true) {
-                    best = Some((eta, id));
-                }
-            }
-        }
-        best
+                })
+            })
+            .min()
     }
 
     /// Sample every node's metrics and feed the monitor *one batch* for

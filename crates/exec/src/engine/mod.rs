@@ -4,8 +4,8 @@
 //! engine with a *fluid* contention model: every running task attempt is
 //! a queue of resource phases (see [`crate::costmodel`]); tasks in the
 //! same phase class on a node share that resource equally; after every
-//! event the engine advances all attempts' remaining work exactly and
-//! recomputes completion times, so rate changes never go stale.
+//! event the engine advances every live attempt's remaining work exactly
+//! and recomputes completion times, so rate changes never go stale.
 //!
 //! The engine owns physics (execution rates, memory, OOM, executor loss,
 //! race resolution) and the offer protocol; *policy* lives entirely in

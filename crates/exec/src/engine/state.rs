@@ -119,6 +119,9 @@ pub(crate) struct StageRt {
 /// loop and mutated only by the engine's subsystem modules.
 pub(crate) struct ClusterState {
     /// Every attempt ever launched (ids are indices; never removed).
+    /// Only the live ones matter per event, and those are reached
+    /// through the nodes' `running` lists ([`Self::live`]); a dead
+    /// attempt keeps just what its record needs.
     pub(crate) attempts: Vec<AttemptRt>,
     /// Per-node executor runtime state.
     pub(crate) nodes: Vec<NodeRt>,
@@ -142,18 +145,43 @@ pub(crate) struct ClusterState {
 }
 
 impl ClusterState {
-    /// Remove a (still-alive) attempt from its node, freeing memory.
+    /// Remove a (still-alive) attempt from its node, freeing memory and
+    /// its remaining phases (a dead attempt's record needs only its
+    /// breakdown).
     pub(crate) fn detach_attempt(&mut self, id: AttemptId) {
         let a = &mut self.attempts[id];
         debug_assert!(a.alive);
         a.alive = false;
+        a.phases = VecDeque::new();
         let node = &mut self.nodes[a.node.index()];
         node.running.retain(|&x| x != id);
         node.mem_in_use = node.mem_in_use.saturating_sub(a.peak_mem);
     }
 
+    /// Every live attempt, node by node: the nodes' `running` lists hold
+    /// exactly the alive attempts, so this costs `O(live)`, not
+    /// `O(attempts ever launched)`.
+    pub(crate) fn live(&self) -> impl Iterator<Item = AttemptId> + '_ {
+        self.nodes.iter().flat_map(|n| n.running.iter().copied())
+    }
+
     /// Is any attempt alive anywhere on the cluster?
     pub(crate) fn anything_running(&self) -> bool {
-        self.attempts.iter().any(|a| a.alive)
+        self.nodes.iter().any(|n| !n.running.is_empty())
+    }
+
+    /// Do the nodes' `running` lists hold exactly the alive attempts,
+    /// each once and on its own node? (`O(attempts)`: debug checks only.)
+    pub(crate) fn live_lists_consistent(&self) -> bool {
+        let mut listed = vec![false; self.attempts.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for &id in &node.running {
+                let a = &self.attempts[id];
+                if !a.alive || a.node.index() != i || std::mem::replace(&mut listed[id], true) {
+                    return false;
+                }
+            }
+        }
+        (self.attempts.iter().zip(&listed)).all(|(a, &l)| a.alive == l)
     }
 }

@@ -6,7 +6,7 @@ use rupam_dag::app::{AppBuilder, JobId, StageId, StageKind};
 use rupam_dag::data::DataLayout;
 use rupam_dag::task::{CacheKey, InputSource, TaskDemand};
 use rupam_dag::{Locality, TaskRef};
-use rupam_metrics::record::TaskRecord;
+use rupam_metrics::record::{AttemptOutcome, TaskRecord};
 use rupam_metrics::report::RunReport;
 use rupam_simcore::time::{SimDuration, SimTime};
 use rupam_simcore::units::ByteSize;
@@ -687,4 +687,76 @@ fn cache_changes_refresh_pending_readers() {
     assert!(report.completed);
     assert!(report.executor_losses > 0);
     assert_eq!(report.faults.crashes, 1);
+}
+
+/// Launches every pending task on the last node and, in the same round,
+/// a speculative copy of it on node 0: on identical nodes the two
+/// attempts finish in the same microsecond.
+struct CopyOnFirstNode;
+
+impl Scheduler for CopyOnFirstNode {
+    fn name(&self) -> &str {
+        "copy-on-first-node"
+    }
+    fn executor_memory(&self, c: &ClusterSpec, n: NodeId) -> ByteSize {
+        c.node(n).mem
+    }
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let last = NodeId(input.nodes.len() - 1);
+        let launch = |task, node, speculative| Command::Launch {
+            task,
+            node,
+            use_gpu: false,
+            speculative,
+            reason: rupam_metrics::trace::LaunchReason::FifoSlot,
+        };
+        (input.pending.iter())
+            .flat_map(|p| [launch(p.task, last, false), launch(p.task, NodeId(0), true)])
+            .collect()
+    }
+}
+
+/// Same-instant completions resolve in attempt-id (launch) order, not
+/// node order: the original (lower attempt id, higher node index) wins
+/// and its copy on node 0 is recorded `LostRace`.
+#[test]
+fn same_instant_race_resolves_in_launch_order() {
+    let cluster = ClusterSpec::homogeneous(2);
+    let mut b = AppBuilder::new("race");
+    let j = b.begin_job();
+    let task = rupam_dag::task::TaskTemplate {
+        index: 0,
+        input: InputSource::Generated,
+        demand: TaskDemand {
+            compute: 4.0,
+            peak_mem: ByteSize::mib(256),
+            ..TaskDemand::default()
+        },
+    };
+    b.add_stage(j, "r", "race/r", StageKind::Result, vec![], vec![task]);
+    let app = b.build();
+    let layout = DataLayout::new();
+    let cfg = SimConfig::default();
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 2,
+    };
+    let report = simulate(&input, &mut CopyOnFirstNode);
+    assert!(report.completed);
+    let [original, copy] = [false, true].map(|spec| {
+        (report.records.iter())
+            .find(|r| r.speculative == spec)
+            .expect("both attempts are recorded")
+    });
+    assert_eq!(
+        original.finished_at, copy.finished_at,
+        "the fixture must produce a same-instant finish"
+    );
+    assert_eq!(original.node, NodeId(1));
+    assert_eq!(copy.node, NodeId(0));
+    assert_eq!(original.outcome, AttemptOutcome::Success);
+    assert_eq!(copy.outcome, AttemptOutcome::LostRace);
 }
