@@ -1,30 +1,29 @@
-//! Executor-cache scoping and data-locality preference queries.
+//! Executor-cache scoping and the cache's dirty marks.
 //!
 //! Spark RDD caches are application-private: cache keys are scoped per
 //! stream job so tenants never see each other's partitions even when
-//! their stages share a template key. This module also answers "where
-//! would this task *like* to run" from HDFS replica placement, cached
-//! partitions and parent map outputs.
+//! their stages share a template key. A cache entry that appears or
+//! vanishes moves the `PROCESS_LOCAL` list of every task reading it, so
+//! its readers' pending views are marked dirty.
 
 use std::collections::HashMap;
 
 use rupam_cluster::NodeId;
 use rupam_dag::app::StageId;
-use rupam_dag::task::{CacheKey, InputSource, TaskTemplate};
+use rupam_dag::task::{CacheKey, InputSource};
 use rupam_dag::TaskRef;
 use rupam_simcore::units::ByteSize;
 
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
-use crate::offer_state::ShufflePrefs;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Executor-cache keys are scoped per stream job: Spark RDD caches
     /// are application-private, so tenants must not see each other's
     /// cached partitions even when their stages share a template key.
     pub(crate) fn scoped_cache_key(&self, stage: StageId, rdd: &str, partition: usize) -> CacheKey {
-        let job = self.state.stage_jobs[stage.index()];
+        let job = self.ctl.job_of(stage);
         CacheKey::new(format!("j{}:{rdd}", job.index()), partition)
     }
 
@@ -52,7 +51,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     pub(crate) fn cache_changed(&mut self, keys: &[CacheKey]) {
         for key in keys {
             for &task in self.cache_readers.get(key).into_iter().flatten() {
-                self.offers.task_dirty(task);
+                self.ctl.offers().task_dirty(task);
             }
         }
     }
@@ -69,33 +68,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 .insert(key.clone(), template.demand.cached_bytes);
             changed.push(key);
             self.cache_changed(&changed);
-        }
-    }
-
-    /// `(process_nodes, node_local)` preferred placements for a task.
-    pub(crate) fn preferred_nodes(
-        &self,
-        stage: StageId,
-        template: &TaskTemplate,
-        prefs: &mut ShufflePrefs,
-    ) -> (Vec<NodeId>, Vec<NodeId>) {
-        match &template.input {
-            InputSource::Hdfs(block) => {
-                (Vec::new(), self.input.layout.block(*block).replicas.clone())
-            }
-            InputSource::CachedOrHdfs { key, fallback } => {
-                let scoped = self.scoped_cache_key(stage, &key.rdd, key.partition);
-                let cached: Vec<NodeId> = (0..self.state.nodes.len())
-                    .map(NodeId)
-                    .filter(|n| self.state.nodes[n.index()].cache.contains(&scoped))
-                    .collect();
-                (cached, self.input.layout.block(*fallback).replicas.clone())
-            }
-            InputSource::Shuffle => (
-                Vec::new(),
-                prefs.node_local(&self.state.outputs, self.input.app, stage),
-            ),
-            InputSource::Generated => (Vec::new(), Vec::new()),
         }
     }
 }

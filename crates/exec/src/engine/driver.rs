@@ -1,6 +1,7 @@
 //! The core loop: calendar, clock, and the fluid contention physics.
 //!
-//! [`Engine`] owns the one [`ClusterState`], the event calendar and the
+//! [`Engine`] owns the one [`ClusterState`], the [`ControlPlane`] it
+//! shares with the serve driver, the event calendar and the
 //! [`super::events::EventBus`]; the subsystem modules (`lifecycle`,
 //! `heartbeat`, `recovery`, `speculation`, `caching`, `offers`) are
 //! `impl Engine` extensions that mutate that state and publish
@@ -29,7 +30,7 @@ use crate::scheduler::Scheduler;
 use super::events::{EngineEvent, EventBus, EventCtx};
 use super::state::{AttemptId, ClusterState};
 use super::{EngineError, SimInput, WORK_EPS};
-use crate::offer_state::OfferState;
+use crate::control::{ControlPlane, Io};
 
 /// Calendar events the engine schedules for itself.
 #[derive(Clone, Copy, Debug)]
@@ -58,6 +59,9 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     pub(crate) now: SimTime,
     /// The single authoritative cluster state.
     pub(crate) state: ClusterState,
+    /// Task, stage and job bookkeeping and the offer state, shared with
+    /// the serve driver.
+    pub(crate) ctl: ControlPlane<'a>,
     pub(crate) monitor: ResourceMonitor,
     pub(crate) records: Vec<TaskRecord>,
     pub(crate) rng_fail: StdRng,
@@ -82,9 +86,6 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     /// The typed event bus every observer hangs off.
     pub(crate) bus: EventBus,
     pub(crate) round: u64,
-    /// The persistent node views and pending list offer rounds are
-    /// built from, kept current by dirty marks.
-    pub(crate) offers: OfferState,
     /// Executor-cache key → the tasks reading it through
     /// `InputSource::CachedOrHdfs` (whose `PROCESS_LOCAL` list a cache
     /// change moves).
@@ -97,11 +98,18 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Publish one event stamped with the current time and round.
     pub(crate) fn publish(&mut self, event: EngineEvent) {
+        self.control().1.publish(event);
+    }
+
+    /// The control plane, and what its transitions act through: the
+    /// engine's clock, offer round, scheduler and bus.
+    pub(crate) fn control(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
         let ctx = EventCtx {
             at: self.now,
             round: self.round,
         };
-        self.bus.publish(&ctx, &event);
+        let (sched, sink) = (&mut *self.sched, &mut self.bus);
+        (&mut self.ctl, Io { ctx, sched, sink })
     }
 
     /// Run the simulation to completion (or graceful abort). The only
@@ -119,8 +127,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let cfg = self.input.config;
         // submit every stream job already arrived at t = 0; later
         // arrivals become calendar events (the multi-tenant case)
-        for j in 0..self.state.jobs.len() {
-            let arrival = self.state.jobs[j].arrival;
+        for j in 0..self.ctl.jobs().len() {
+            let arrival = self.ctl.jobs()[j].arrival;
             if arrival <= self.now {
                 self.submit_job(JobId(j));
             } else {
@@ -157,7 +165,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     pub(crate) fn main_loop(&mut self) -> Result<(), EngineError> {
         let cfg = self.input.config;
         let mut events: u64 = 0;
-        while !self.state.tracker.all_done(self.input.app) && !self.aborted {
+        while !self.ctl.all_done() && !self.aborted {
             events += 1;
             assert!(
                 events <= cfg.engine.max_events,
@@ -348,7 +356,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             Event::Heartbeat => self.on_heartbeat(),
             Event::SpeculationCheck => {
                 self.speculation_check();
-                if !self.state.tracker.all_done(self.input.app) && !self.aborted {
+                if !self.ctl.all_done() && !self.aborted {
                     self.source.schedule(
                         self.now + self.input.config.speculation.interval,
                         Event::SpeculationCheck,

@@ -25,6 +25,7 @@ use rupam_simcore::time::{SimDuration, SimTime};
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
 use super::state::NodeRt;
+use crate::control::ControlPlane;
 
 /// Runtime state of the capacity controller.
 pub(crate) struct ElasticRt {
@@ -93,14 +94,14 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 busy: !n.running.is_empty(),
             })
             .collect();
-        let backlog = self.with_offers(|offers, host| offers.backlog(host));
+        let backlog = ControlPlane::backlog(self);
         let actions = el
             .ctl
             .check(ecfg, self.now, ecfg.scale_down_idle_secs, &fleet, backlog);
         // the actions need no view marks: an unprovisioned view was
         // blocked, so it is rebuilt every round, and the price step
         // marked every provisioned spot node
-        self.offers.prices_stepped(&el.ctl, &fleet);
+        self.ctl.offers().prices_stepped(&el.ctl, &fleet);
         for action in actions {
             match action {
                 ScalingAction::Provision(node) => {
@@ -130,7 +131,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
         }
 
-        if !self.state.tracker.all_done(self.input.app) && !self.aborted {
+        if !self.ctl.all_done() && !self.aborted {
             self.source.schedule(
                 self.now + SimDuration::from_secs_f64(ecfg.check_secs),
                 Event::ElasticCheck,

@@ -9,16 +9,16 @@
 
 use rupam_faults::FaultKind;
 use rupam_metrics::report::FaultSummary;
-use rupam_metrics::trace::{TraceBuffer, TraceEvent};
+use rupam_metrics::trace::TraceBuffer;
 
 use crate::audit::{AuditConfig, InvariantAuditor, Violation};
 use crate::scheduler::{Command, OfferInput};
 
-use super::events::{lost_task_detail, BusStage, EngineEvent, EventCtx, Subscriber};
+use super::events::{lost_task_detail, BusStage, EngineEvent, EventCtx, EventSink, Subscriber};
 
 /// Records the decision trace: every event with a trace projection
-/// ([`EngineEvent::trace_kind`]) becomes one [`TraceEvent`] in a ring
-/// buffer with a running digest.
+/// ([`EngineEvent::trace_kind`]) becomes one trace event in a ring
+/// buffer with a running digest ([`EventSink`] for [`TraceBuffer`]).
 pub struct TraceEmitter {
     buffer: TraceBuffer,
 }
@@ -47,13 +47,7 @@ impl Subscriber for TraceEmitter {
     }
 
     fn on_event(&mut self, ctx: &EventCtx, event: &EngineEvent) {
-        if let Some(kind) = event.trace_kind() {
-            self.buffer.record(TraceEvent {
-                at: ctx.at,
-                round: ctx.round,
-                kind,
-            });
-        }
+        self.buffer.publish(ctx, event);
     }
 
     fn take_trace(&mut self) -> Option<TraceBuffer> {

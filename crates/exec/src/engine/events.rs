@@ -19,7 +19,7 @@ use rupam_dag::app::{JobId, StageId};
 use rupam_dag::{Locality, TaskRef, TenantId};
 use rupam_faults::FaultKind;
 use rupam_metrics::report::FaultSummary;
-use rupam_metrics::trace::{AbortCause, LaunchReason, TraceBuffer, TraceEventKind};
+use rupam_metrics::trace::{AbortCause, LaunchReason, TraceBuffer, TraceEvent, TraceEventKind};
 use rupam_simcore::time::{SimDuration, SimTime};
 use rupam_simcore::units::ByteSize;
 
@@ -435,6 +435,36 @@ pub trait Subscriber {
     }
 }
 
+/// Where a host publishes its events: the engine's [`EventBus`], or a
+/// bare [`TraceBuffer`] (the serve driver's), which records each
+/// event's trace projection.
+pub trait EventSink {
+    /// Publish `event`, stamped with `ctx`.
+    fn publish(&mut self, ctx: &EventCtx, event: &EngineEvent);
+}
+
+impl EventSink for EventBus {
+    /// Dispatch one event to every subscriber, in canonical order.
+    fn publish(&mut self, ctx: &EventCtx, event: &EngineEvent) {
+        self.published += 1;
+        for sub in &mut self.subscribers {
+            sub.on_event(ctx, event);
+        }
+    }
+}
+
+impl EventSink for TraceBuffer {
+    fn publish(&mut self, ctx: &EventCtx, event: &EngineEvent) {
+        if let Some(kind) = event.trace_kind() {
+            self.record(TraceEvent {
+                at: ctx.at,
+                round: ctx.round,
+                kind,
+            });
+        }
+    }
+}
+
 /// The deterministically-ordered, synchronous event bus.
 pub struct EventBus {
     /// Kept sorted by `(stage, name)`; ties preserve registration order.
@@ -490,14 +520,6 @@ impl EventBus {
     /// Total events published so far.
     pub fn published(&self) -> u64 {
         self.published
-    }
-
-    /// Dispatch one event to every subscriber, in canonical order.
-    pub fn publish(&mut self, ctx: &EventCtx, event: &EngineEvent) {
-        self.published += 1;
-        for sub in &mut self.subscribers {
-            sub.on_event(ctx, event);
-        }
     }
 
     /// Run every audit sink's offer-round hook, concatenating their

@@ -15,6 +15,7 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
+use crate::control::ControlPlane;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// One engine heartbeat: scheduler hook, detector round, livelock
@@ -30,7 +31,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // Real Spark jobs die with "Initial job has not accepted
         // any resources"; we abort the run likewise.
         let anything_running = self.state.anything_running();
-        let anything_pending = self.with_offers(|offers, host| offers.backlog(host)) > 0;
+        let anything_pending = ControlPlane::backlog(self) > 0;
         // an empty cluster waiting for the next job arrival is
         // not a livelock — only count heartbeats where released
         // work sits unplaced
@@ -46,7 +47,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 });
             }
         }
-        if !self.state.tracker.all_done(self.input.app) && !self.aborted {
+        if !self.ctl.all_done() && !self.aborted {
             self.source.schedule(
                 self.now + self.input.config.engine.heartbeat,
                 Event::Heartbeat,
@@ -90,7 +91,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             .evaluate(self.now);
         for t in transitions {
             // every transition flips the node's suspect or dead flag
-            self.offers.node_dirty(t.node);
+            self.ctl.offers().node_dirty(t.node);
             match t.to {
                 NodeHealth::Suspect => {
                     self.publish(EngineEvent::NodeSuspect {

@@ -1,8 +1,9 @@
-//! Task and job lifecycle: submission, stage release, attempt
-//! completion, failure, race resolution and command application.
+//! Attempt lifecycle: launch, completion, failure, race resolution and
+//! command application.
 //!
-//! Everything here mutates [`super::state::ClusterState`] and publishes
-//! the corresponding [`EngineEvent`]s; no policy decisions are made —
+//! Everything here mutates [`super::state::ClusterState`] and hands the
+//! task-level transitions (submission, a won or failed attempt) to the
+//! shared [`crate::control::ControlPlane`]; no policy decisions are made —
 //! the [`crate::scheduler::Scheduler`] issued the commands, this module
 //! makes them physical (or drops them, like a lost RPC, when reality
 //! disagrees).
@@ -10,11 +11,11 @@
 use std::collections::VecDeque;
 
 use rupam_cluster::NodeId;
-use rupam_dag::app::{JobId, StageId};
+use rupam_dag::app::JobId;
 use rupam_dag::task::InputSource;
 use rupam_dag::TaskRef;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
-use rupam_metrics::trace::{AbortCause, LaunchReason};
+use rupam_metrics::trace::LaunchReason;
 use rupam_simcore::units::ByteSize;
 
 use rupam_metrics::breakdown::TaskBreakdown;
@@ -27,48 +28,15 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::{AttemptId, AttemptRt, TaskState};
+use super::state::{AttemptId, AttemptRt};
+use crate::control::TaskState;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
-    /// A stream job arrives: unlock its chain, tell the scheduler which
-    /// stages it will eventually run, and release whatever is ready.
+    /// A stream job arrives: the control plane submits it.
     pub(crate) fn submit_job(&mut self, job: JobId) {
-        self.state.tracker.arrive(job.index());
-        self.publish(EngineEvent::JobSubmitted {
-            job,
-            tenant: self.state.jobs[job.index()].tenant,
-        });
-        let stages: Vec<StageId> = self
-            .state
-            .stage_jobs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &j)| j == job)
-            .map(|(i, _)| StageId(i))
-            .collect();
-        self.sched.on_job_submitted(job, &stages, self.now);
-        self.release_ready_stages();
+        let (ctl, mut io) = self.control();
+        ctl.submit_job(job, &mut io);
         self.need_offers = true;
-    }
-
-    pub(crate) fn release_ready_stages(&mut self) {
-        let ready = self.state.tracker.take_ready(self.input.app);
-        for sid in ready {
-            self.release_stage(sid);
-            self.need_offers = true;
-        }
-    }
-
-    /// `sid` became ready: its pending tasks join the offer state. A
-    /// stage re-blocked by lineage recompute can become ready a second
-    /// time; schedulers must see `on_stage_ready` only once.
-    fn release_stage(&mut self, sid: StageId) {
-        if !self.state.stages[sid.index()].released {
-            self.state.stages[sid.index()].released = true;
-            self.offers.stage_released(sid);
-            self.sched
-                .on_stage_ready(self.input.app.stage(sid), self.now);
-        }
     }
 
     pub(crate) fn phase_complete(&mut self, id: AttemptId) {
@@ -80,84 +48,37 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
     }
 
+    /// An attempt ran to its end. If its task is already done it lost
+    /// the race; otherwise it wins, and its live siblings lose.
     pub(crate) fn finish_attempt(&mut self, id: AttemptId) {
-        let (task, node_id, attempt_no) = {
-            let a = &self.state.attempts[id];
-            (a.task, a.node, a.attempt_no)
-        };
+        let (task, node_id) = (self.state.attempts[id].task, self.state.attempts[id].node);
         self.state.detach_attempt(id);
-        self.state
-            .observed_peak
-            .insert((task.stage, task.index), self.state.attempts[id].peak_mem);
-
-        // has the task already been completed by another copy?
-        let already_done = matches!(
-            self.state.stages[task.stage.index()].tasks[task.index],
-            TaskState::Done
-        );
-        let outcome = if already_done {
-            AttemptOutcome::LostRace
-        } else {
+        let won = !matches!(self.ctl.task(task), TaskState::Done);
+        let outcome = if won {
             AttemptOutcome::Success
+        } else {
+            AttemptOutcome::LostRace
         };
         let record = self.make_record(id, outcome);
-        if !already_done {
-            // register map outputs for reducers
-            if self
-                .state
-                .outputs
-                .record_win(self.input.app, task, node_id, attempt_no)
-            {
-                self.offers.outputs_moved(task.stage);
-            }
-            self.state.stages[task.stage.index()]
-                .finished_secs
-                .push(record.duration().as_secs_f64());
+        if won {
+            (self.state.finished_secs[task.stage.index()]).push(record.duration().as_secs_f64());
             // cache the produced partition
             self.cache_produced_partition(task, node_id);
-            // kill losing copies
-            let losers: Vec<AttemptId> =
-                match &self.state.stages[task.stage.index()].tasks[task.index] {
-                    TaskState::Running { attempts } => {
-                        attempts.iter().copied().filter(|&o| o != id).collect()
-                    }
-                    _ => Vec::new(),
-                };
             if self.state.attempts[id].speculative {
                 self.speculative_wins += 1;
             }
-            for loser in losers {
-                self.abort_attempt(loser, AttemptOutcome::LostRace);
+            if let TaskState::Running { attempts } = self.ctl.task(task) {
+                let losers: Vec<AttemptId> =
+                    attempts.iter().copied().filter(|&o| o != id).collect();
+                for loser in losers {
+                    self.abort_attempt(loser, AttemptOutcome::LostRace);
+                }
             }
-            self.state.stages[task.stage.index()].tasks[task.index] = TaskState::Done;
             self.state.spec_set.remove(&task);
-            // a fault-killed (or lineage re-pended) task re-ran to
-            // completion: the recovery is resolved
-            if let Some(killed_at) = self.state.kill_pending.remove(&task) {
-                let waited = self.now.since(killed_at);
-                self.publish(EngineEvent::RecoveryResolved { task, waited });
-            }
-            self.sched.on_task_finished(&record, self.now);
-            self.records.push(record);
-            // stage/job bookkeeping
-            let newly_ready = self.state.tracker.task_finished(self.input.app, task.stage);
-            for sid in newly_ready {
-                self.release_stage(sid);
-            }
-            // stream-job completion (chain index == stream job index)
-            let job = self.state.stage_jobs[task.stage.index()];
-            if self.state.jobs[job.index()].completed_at.is_none()
-                && self.state.tracker.chain_done(job.index())
-            {
-                self.state.jobs[job.index()].completed_at = Some(self.now);
-                self.publish(EngineEvent::JobCompleted {
-                    job,
-                    tenant: self.state.jobs[job.index()].tenant,
-                });
-            }
-        } else {
-            self.records.push(record);
         }
+        let (ctl, mut io) = self.control();
+        ctl.attempt_finished(&record, &mut io);
+        self.records.push(record);
         self.need_offers = true;
     }
 
@@ -165,7 +86,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let a = &self.state.attempts[id];
         TaskRecord {
             task: a.task,
-            job: self.state.stage_jobs[a.task.stage.index()],
+            job: self.ctl.job_of(a.task.stage),
             template_key: a.template_key,
             attempt: a.attempt_no,
             node: a.node,
@@ -192,37 +113,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Fail a running attempt; its task goes back to pending (or the app
     /// aborts once retries are exhausted).
     pub(crate) fn fail_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
-        let task = self.state.attempts[id].task;
-        let node = self.state.attempts[id].node;
-        let attempt_no = self.state.attempts[id].attempt_no;
         self.state.detach_attempt(id);
-        self.state
-            .observed_peak
-            .insert((task.stage, task.index), self.state.attempts[id].peak_mem);
         let record = self.make_record(id, outcome);
+        let (ctl, mut io) = self.control();
+        self.aborted |= ctl.attempt_failed(id, &record, &mut io);
         self.records.push(record);
-
-        let mut retries_exhausted = false;
-        let state = &mut self.state.stages[task.stage.index()].tasks[task.index];
-        if let TaskState::Running { attempts } = state {
-            attempts.retain(|&x| x != id);
-            if attempts.is_empty() {
-                let next = attempt_no + 1;
-                if self.input.config.mem.retries_exhausted(next) {
-                    self.aborted = true;
-                    retries_exhausted = true;
-                }
-                *state = TaskState::Pending { attempt_no: next };
-                self.offers.task_dirty(task);
-            }
-        }
-        if retries_exhausted {
-            self.publish(EngineEvent::Aborted {
-                cause: AbortCause::RetriesExhausted,
-                task: Some(task),
-            });
-        }
-        self.sched.on_task_failed(task, node, outcome, self.now);
         self.need_offers = true;
     }
 
@@ -239,8 +134,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
             Command::KillAndRequeue { task, node, reason } => {
                 let outcome = reason.outcome();
-                let state = &self.state.stages[task.stage.index()].tasks[task.index];
-                if let TaskState::Running { attempts } = state {
+                if let TaskState::Running { attempts } = self.ctl.task(task) {
                     let on_node: Vec<AttemptId> = attempts
                         .iter()
                         .copied()
@@ -282,11 +176,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         {
             return;
         }
-        if !self.state.stages[task.stage.index()].released {
+        if !self.ctl.released[task.stage.index()] {
             return;
         }
-        let attempt_no = match &self.state.stages[task.stage.index()].tasks[task.index] {
-            TaskState::Pending { attempt_no } if !speculative => *attempt_no,
+        let attempt_no = match self.ctl.task(task) {
+            TaskState::Pending { attempt_no, .. } if !speculative => *attempt_no,
             TaskState::Running { attempts } if speculative => {
                 // one extra copy max, never a copy of a copy
                 if attempts.len() != 1 || self.state.attempts[attempts[0]].speculative {
@@ -353,8 +247,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let mut shuffle_remote = ByteSize::ZERO;
         if demand.shuffle_read > ByteSize::ZERO {
             let frac = self
-                .state
-                .outputs
+                .ctl
+                .ledger
                 .local_share(self.input.app, task.stage, node_id);
             shuffle_local = demand.shuffle_read.scale(frac);
             shuffle_remote = demand.shuffle_read.saturating_sub(shuffle_local);
@@ -405,21 +299,16 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             rate: 0.0,
         });
         self.state.nodes[node_id.index()].running.push(id);
-        let state = &mut self.state.stages[task.stage.index()].tasks[task.index];
-        match state {
-            TaskState::Pending { .. } => *state = TaskState::Running { attempts: vec![id] },
-            TaskState::Running { attempts } => attempts.push(id),
-            TaskState::Done => unreachable!("validated above"),
-        }
+        self.ctl.launched(task, id);
         if speculative {
             self.speculative_launched += 1;
             self.state.spec_set.remove(&task);
         }
-        let launch_job = self.state.stage_jobs[task.stage.index()];
+        let launch_job = self.ctl.job_of(task.stage);
         self.publish(EngineEvent::Launch {
             task,
             job: launch_job,
-            tenant: self.state.jobs[launch_job.index()].tenant,
+            tenant: self.ctl.jobs()[launch_job.index()].tenant,
             node: node_id,
             attempt: attempt_no,
             speculative,

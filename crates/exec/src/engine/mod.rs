@@ -50,9 +50,7 @@ use rupam_cluster::monitor::NodeMetrics;
 use rupam_cluster::{ClusterSpec, NodeId, ResourceMonitor};
 use rupam_dag::app::{Application, JobId};
 use rupam_dag::data::DataLayout;
-use rupam_dag::lineage::StageTracker;
 use rupam_dag::stream::MergedStream;
-use rupam_dag::TaskRef;
 use rupam_faults::FailureDetector;
 use rupam_metrics::report::{JobOutcome, RunReport};
 use rupam_metrics::trace::{AbortCause, TraceBuffer, DEFAULT_TRACE_CAPACITY};
@@ -64,16 +62,17 @@ use rupam_simcore::units::ByteSize;
 use crate::audit::{AuditConfig, Violation};
 use crate::cache::ExecutorCache;
 use crate::config::SimConfig;
-use crate::offer_state::OfferState;
+use crate::control::ControlPlane;
 use crate::scheduler::Scheduler;
-use crate::shuffle::MapOutputLedger;
 use crate::speculation::SpeculationSet;
 
 use driver::Engine;
-use state::{ClusterState, JobRt, NodeRt, StageRt, TaskState};
+use state::{ClusterState, NodeRt};
 
 pub use emit::{AuditRelay, FaultStats, TraceEmitter};
-pub use events::{lost_task_detail, BusStage, EngineEvent, EventBus, EventCtx, Subscriber};
+pub use events::{
+    lost_task_detail, BusStage, EngineEvent, EventBus, EventCtx, EventSink, Subscriber,
+};
 
 /// Work below this is considered complete (unit-scale epsilon).
 pub(crate) const WORK_EPS: f64 = 1e-7;
@@ -296,47 +295,6 @@ pub(crate) fn assemble<'a, 's>(
         })
         .collect();
 
-    let stages: Vec<StageRt> = input
-        .app
-        .stages
-        .iter()
-        .map(|s| StageRt {
-            released: false,
-            tasks: vec![TaskState::Pending { attempt_no: 0 }; s.num_tasks()],
-            finished_secs: Vec::new(),
-        })
-        .collect();
-
-    // stream metadata; a plain application is a 1-job stream at t = 0
-    let (jobs, chains, stage_jobs) = match stream {
-        Some(ms) => (
-            ms.jobs
-                .iter()
-                .map(|j| JobRt {
-                    name: j.name.clone(),
-                    tenant: j.tenant,
-                    arrival: j.arrival,
-                    completed_at: None,
-                })
-                .collect::<Vec<_>>(),
-            ms.jobs
-                .iter()
-                .map(|j| j.app_jobs.clone())
-                .collect::<Vec<_>>(),
-            ms.stage_jobs.clone(),
-        ),
-        None => (
-            vec![JobRt {
-                name: input.app.name.clone(),
-                tenant: rupam_dag::TenantId(0),
-                arrival: SimTime::ZERO,
-                completed_at: None,
-            }],
-            std::iter::once(0..input.app.jobs.len()).collect(),
-            vec![JobId(0); input.app.stages.len()],
-        ),
-    };
-
     let mut engine = Engine {
         input,
         sched: scheduler,
@@ -345,15 +303,10 @@ pub(crate) fn assemble<'a, 's>(
         state: ClusterState {
             attempts: Vec::new(),
             nodes,
-            stages,
-            jobs,
-            stage_jobs,
-            tracker: StageTracker::new_stream(input.app, &chains),
-            outputs: MapOutputLedger::new(input.app, cluster.len()),
+            finished_secs: vec![Vec::new(); input.app.stages.len()],
             spec_set: SpeculationSet::new(),
-            observed_peak: HashMap::new(),
-            kill_pending: HashMap::new(),
         },
+        ctl: ControlPlane::new(cluster, cfg, input.app, input.layout, stream),
         monitor: ResourceMonitor::new(cluster),
         records: Vec::new(),
         rng_fail: RngFactory::new(input.seed).stream("engine/failures"),
@@ -373,7 +326,6 @@ pub(crate) fn assemble<'a, 's>(
         idle_heartbeats: 0,
         bus,
         round: 0,
-        offers: OfferState::new(input.app, cluster.len()),
         cache_readers: HashMap::new(),
         hb_scratch: Vec::new(),
     };
@@ -425,29 +377,18 @@ fn run_sim(
     // recovery invariant: every fault-killed task and lineage re-pend
     // must have been re-run to completion by the end of a completed run;
     // leftovers are permanently lost tasks.
-    if !sim.aborted && !sim.state.kill_pending.is_empty() {
-        let mut lost: Vec<(TaskRef, SimTime)> = sim
-            .state
-            .kill_pending
-            .iter()
-            .map(|(&t, &at)| (t, at))
-            .collect();
-        lost.sort();
-        for (task, killed_at) in lost {
+    if !sim.aborted {
+        for (task, killed_at) in sim.ctl.lost_tasks() {
             sim.publish(EngineEvent::LostTask { task, killed_at });
         }
     }
 
     let makespan = sim.now.since(SimTime::ZERO);
-    let jobs: Vec<JobOutcome> = sim
-        .state
-        .jobs
-        .iter()
-        .enumerate()
+    let jobs: Vec<JobOutcome> = (sim.ctl.jobs().iter().enumerate())
         .map(|(i, j)| JobOutcome {
             job: JobId(i),
             tenant: j.tenant,
-            name: j.name.clone(),
+            name: stream.map_or(&input.app.name, |s| &s.jobs[i].name).clone(),
             submitted_at: j.arrival,
             completed_at: j.completed_at,
         })

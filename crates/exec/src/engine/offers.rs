@@ -1,32 +1,43 @@
 //! The offer protocol: view construction and the offer round.
 //!
-//! The engine keeps its node views and pending list in a persistent
-//! [`OfferState`], marked dirty by the lifecycle, recovery, caching and
-//! elastic handlers. Each round it re-derives what was touched, hands
-//! the scheduler the resulting [`OfferInput`], and applies the returned
-//! commands. The round summary is published as
+//! The engine's [`ControlPlane`] keeps the node views and pending list in
+//! its persistent offer state, marked dirty by the control plane's own
+//! transitions and by the engine's caching, detector and elastic
+//! handlers; the engine lends it node views and executor-cache
+//! placements ([`ControlHost`]). Each round the control plane re-derives
+//! what was touched into an [`OfferInput`](crate::scheduler::OfferInput),
+//! the engine adds the speculatable tasks, hands it to the scheduler and
+//! applies the returned commands. The round summary is published as
 //! [`EngineEvent::OfferRound`] (when a trace sink is attached), and the
 //! bus's audit sinks re-check the command batch against the very input
 //! the scheduler saw.
 
 use rupam_cluster::monitor::NodeMetrics;
 use rupam_cluster::NodeId;
-use rupam_dag::TaskRef;
+use rupam_dag::app::StageId;
+use rupam_dag::task::CacheKey;
 use rupam_faults::NodeHealth;
 use rupam_simcore::time::SimDuration;
-use rupam_simcore::units::ByteSize;
 
+use crate::control::{ControlHost, ControlPlane, TaskState};
 use crate::costmodel::PhaseResource;
-use crate::offer_state::{OfferHost, OfferState, ShufflePrefs};
-use crate::scheduler::{NodeView, OfferInput, PendingTaskView, RunningTaskView};
+use crate::offer_state::ShufflePrefs;
+use crate::scheduler::{NodeView, RunningTaskView};
 
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::TaskState;
 
-impl<'a, 's, S: EventSource<Event>> OfferHost for Engine<'a, 's, S> {
+impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
+    fn control(&self) -> &ControlPlane<'a> {
+        &self.ctl
+    }
+
+    fn control_mut(&mut self) -> &mut ControlPlane<'a> {
+        &mut self.ctl
+    }
+
     fn node_view(&self, node: NodeId) -> NodeView {
         let rt = &self.state.nodes[node.index()];
         let m = self.node_metrics(node.index());
@@ -78,14 +89,12 @@ impl<'a, 's, S: EventSource<Event>> OfferHost for Engine<'a, 's, S> {
             .map_or(SimDuration::ZERO, |d| d.age(node, self.now))
     }
 
-    fn pending_view(&self, task: TaskRef, prefs: &mut ShufflePrefs) -> Option<PendingTaskView> {
-        let stage = &self.state.stages[task.stage.index()];
-        match stage.tasks[task.index] {
-            TaskState::Pending { attempt_no } if stage.released => {
-                Some(self.task_view(task, attempt_no, prefs))
-            }
-            _ => None,
-        }
+    fn process_nodes(&self, stage: StageId, key: &CacheKey) -> Vec<NodeId> {
+        let scoped = self.scoped_cache_key(stage, &key.rdd, key.partition);
+        (0..self.state.nodes.len())
+            .map(NodeId)
+            .filter(|n| self.state.nodes[n.index()].cache.contains(&scoped))
+            .collect()
     }
 }
 
@@ -122,38 +131,14 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
     }
 
-    /// Run `f` on the offer state with the engine as its view builder.
-    pub(crate) fn with_offers<R>(&mut self, f: impl FnOnce(&mut OfferState, &Self) -> R) -> R {
-        let mut offers = std::mem::take(&mut self.offers);
-        let out = f(&mut offers, self);
-        self.offers = offers;
-        out
-    }
-
     pub(crate) fn offer_round(&mut self) {
-        let views = self.with_offers(|offers, host| offers.round(host));
+        let now = self.now;
+        let mut offer = ControlPlane::offer_input(self, now);
         let mut prefs = ShufflePrefs::default();
-        let speculatable = (self.state.spec_set.iter())
-            .filter(|t| {
-                matches!(
-                    self.state.stages[t.stage.index()].tasks[t.index],
-                    TaskState::Running { .. }
-                )
-            })
-            .map(|t| self.task_view(*t, 0, &mut prefs))
+        offer.speculatable = (self.state.spec_set.iter())
+            .filter(|t| matches!(self.ctl.task(**t), TaskState::Running { .. }))
+            .map(|t| self.ctl.task_view(self, *t, 0, &mut prefs))
             .collect();
-        let offer = OfferInput {
-            now: self.now,
-            cluster: self.input.cluster,
-            app: self.input.app,
-            nodes: views.nodes,
-            pending: views.pending,
-            speculatable,
-            job_arrivals: self.state.jobs.iter().map(|j| j.arrival).collect(),
-            job_tenants: self.state.jobs.iter().map(|j| j.tenant).collect(),
-            changed: views.changed,
-            pending_fresh: views.pending_fresh,
-        };
         let commands = self.sched.offer_round(&offer);
         self.round += 1;
         if self.bus.traced() {
@@ -178,37 +163,9 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 });
             }
         }
-        self.offers.settle(offer.nodes, offer.pending, &commands);
+        self.ctl.settle(offer, &commands);
         for cmd in commands {
             self.apply_command(cmd);
-        }
-    }
-
-    /// The view of `task` as attempt `attempt_no`.
-    fn task_view(
-        &self,
-        task: TaskRef,
-        attempt_no: u32,
-        prefs: &mut ShufflePrefs,
-    ) -> PendingTaskView {
-        let stage = self.input.app.stage(task.stage);
-        let template = &stage.tasks[task.index];
-        let (process_nodes, node_local) = self.preferred_nodes(task.stage, template, prefs);
-        PendingTaskView {
-            task,
-            job: self.state.stage_jobs[task.stage.index()],
-            template_key: stage.template_key,
-            stage_kind: stage.kind,
-            attempt_no,
-            peak_mem_hint: self
-                .state
-                .observed_peak
-                .get(&(task.stage, task.index))
-                .copied()
-                .unwrap_or(ByteSize::ZERO),
-            gpu_capable: template.demand.is_gpu_capable(),
-            process_nodes,
-            node_local,
         }
     }
 }

@@ -11,7 +11,6 @@
 use rand::Rng;
 
 use rupam_cluster::NodeId;
-use rupam_dag::TaskRef;
 use rupam_faults::FaultKind;
 use rupam_metrics::record::AttemptOutcome;
 use rupam_simcore::time::{SimDuration, SimTime};
@@ -21,7 +20,7 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::{AttemptId, TaskState};
+use super::state::AttemptId;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Apply the `index`-th scripted fault to its target node.
@@ -108,7 +107,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         node.drain_deadline = Some(self.now + notice);
         node.elastic_epoch += 1;
         let epoch = node.elastic_epoch;
-        self.offers.node_dirty(node_id);
+        self.ctl.offers().node_dirty(node_id);
         self.source.schedule(
             self.now + notice,
             Event::PreemptFire {
@@ -164,11 +163,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let victims: Vec<AttemptId> = self.state.nodes[node_id.index()].running.clone();
         for id in victims {
             let task = self.state.attempts[id].task;
-            self.state.kill_pending.entry(task).or_insert(self.now);
-            self.publish(EngineEvent::TaskKilled {
-                task,
-                node: node_id,
-            });
+            let (ctl, mut io) = self.control();
+            ctl.task_killed(task, node_id, &mut io);
             self.fail_attempt(id, AttemptOutcome::NodeFaulted);
         }
         let node = &mut self.state.nodes[node_id.index()];
@@ -182,30 +178,10 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         node.drain_deadline = None;
         node.elastic_epoch += 1;
         self.cache_changed(&wiped);
-        // walk the lineage: re-pend the completed shuffle-map tasks whose
-        // output died with the node. Cached partitions need no lineage
-        // action: the cache was wiped and every cached read carries an
-        // HDFS fallback
-        let lost = self
-            .state
-            .outputs
-            .lose_node(self.input.app, &mut self.state.tracker, node_id);
-        for (stage, tasks) in lost {
-            for &(index, attempt_no) in &tasks {
-                let st = &mut self.state.stages[stage.index()].tasks[index];
-                debug_assert_eq!(*st, TaskState::Done);
-                *st = TaskState::Pending { attempt_no };
-                let task = TaskRef { stage, index };
-                self.state.kill_pending.entry(task).or_insert(self.now);
-                self.offers.task_dirty(task);
-            }
-            self.offers.outputs_moved(stage);
-            self.publish(EngineEvent::LineageRecompute {
-                stage,
-                node: node_id,
-                tasks: tasks.len(),
-            });
-        }
+        // walk the lineage. Cached partitions need no lineage action: the
+        // cache was wiped and every cached read carries an HDFS fallback
+        let (ctl, mut io) = self.control();
+        ctl.outputs_lost(node_id, &mut io);
         self.need_offers = true;
     }
 

@@ -16,19 +16,19 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::TaskState;
+use crate::control::TaskState;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     pub(crate) fn speculation_check(&mut self) {
         let cfg = &self.input.config.speculation;
         let mut flagged: Vec<TaskRef> = Vec::new();
-        for (sidx, stage_rt) in self.state.stages.iter().enumerate() {
-            if !stage_rt.released {
+        for (sidx, tasks) in self.ctl.tasks.iter().enumerate() {
+            if !self.ctl.released[sidx] {
                 continue;
             }
             let stage = &self.input.app.stages[sidx];
             let mut running: Vec<(TaskRef, SimTime, bool)> = Vec::new();
-            for (tidx, state) in stage_rt.tasks.iter().enumerate() {
+            for (tidx, state) in tasks.iter().enumerate() {
                 if let TaskState::Running { attempts } = state {
                     // the original copy is the lowest attempt id
                     if let Some(&first) = attempts.first() {
@@ -45,7 +45,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
             let progress = StageProgress {
                 total_tasks: stage.num_tasks(),
-                finished_secs: &stage_rt.finished_secs,
+                finished_secs: &self.state.finished_secs[sidx],
                 running: &running,
             };
             for task in find_speculatable(cfg, self.now, &progress) {

@@ -1,20 +1,20 @@
 //! The single authoritative cluster state.
 //!
-//! [`ClusterState`] owns everything the engine knows about the simulated
-//! cluster at an instant: task attempts, per-node executor state, stage
-//! and job bookkeeping, lineage tracking, the speculation set and the
-//! fault-recovery ledger. The core loop ([`super::driver`]) owns exactly
-//! one `ClusterState`; every subsystem module mutates cluster reality
-//! through it, and everything else observes through the
-//! [`super::events::EventBus`]. Nothing in here emits events or makes
-//! policy decisions — it is pure state plus a few queries.
+//! [`ClusterState`] owns what the engine knows about the simulated
+//! cluster's execution at an instant: task attempts and their phases,
+//! per-node executor state (memory, cache, faults, fleet membership),
+//! the winners' durations and the speculation set. Task, stage and job
+//! bookkeeping is the [`crate::control::ControlPlane`] the engine shares
+//! with the serve driver. The core loop ([`super::driver`]) owns exactly
+//! one `ClusterState`; the subsystem modules mutate it, and everything
+//! else observes through the [`super::events::EventBus`]. Nothing in
+//! here emits events or makes policy decisions — it is pure state plus a
+//! few queries.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rupam_cluster::monitor::NodeMetrics;
 use rupam_cluster::NodeId;
-use rupam_dag::app::{JobId, StageId};
-use rupam_dag::lineage::StageTracker;
 use rupam_dag::{Locality, TaskRef};
 use rupam_metrics::breakdown::TaskBreakdown;
 use rupam_simcore::time::SimTime;
@@ -23,12 +23,11 @@ use rupam_simcore::Sym;
 
 use crate::cache::ExecutorCache;
 use crate::costmodel::Phase;
-use crate::shuffle::MapOutputLedger;
 use crate::speculation::SpeculationSet;
 
-/// Index into [`ClusterState::attempts`]; attempts are never removed, so
-/// ids are stable for the whole run.
-pub(crate) type AttemptId = usize;
+// an engine attempt id indexes [`ClusterState::attempts`]; attempts are
+// never removed, so ids are stable for the whole run
+pub(crate) use crate::control::AttemptId;
 
 /// Runtime state of one task attempt (original or speculative copy).
 pub(crate) struct AttemptRt {
@@ -92,29 +91,6 @@ pub(crate) struct NodeRt {
     pub(crate) elastic_epoch: u64,
 }
 
-/// Runtime state of one stream job (single-app runs have exactly one).
-pub(crate) struct JobRt {
-    pub(crate) name: String,
-    pub(crate) tenant: rupam_dag::TenantId,
-    pub(crate) arrival: SimTime,
-    pub(crate) completed_at: Option<SimTime>,
-}
-
-/// Scheduling state of one task.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum TaskState {
-    Pending { attempt_no: u32 },
-    Running { attempts: Vec<AttemptId> },
-    Done,
-}
-
-/// Runtime state of one stage.
-pub(crate) struct StageRt {
-    pub(crate) released: bool,
-    pub(crate) tasks: Vec<TaskState>,
-    pub(crate) finished_secs: Vec<f64>,
-}
-
 /// The one authoritative snapshot of cluster reality, owned by the core
 /// loop and mutated only by the engine's subsystem modules.
 pub(crate) struct ClusterState {
@@ -125,23 +101,11 @@ pub(crate) struct ClusterState {
     pub(crate) attempts: Vec<AttemptRt>,
     /// Per-node executor runtime state.
     pub(crate) nodes: Vec<NodeRt>,
-    /// Per-stage scheduling state.
-    pub(crate) stages: Vec<StageRt>,
-    /// Per-stream-job metadata and completion times.
-    pub(crate) jobs: Vec<JobRt>,
-    /// Stage → owning stream job.
-    pub(crate) stage_jobs: Vec<JobId>,
-    /// Lineage/readiness tracking across stages and job chains.
-    pub(crate) tracker: StageTracker,
-    /// Where finished map outputs live (lineage-driven recompute).
-    pub(crate) outputs: MapOutputLedger,
+    /// Per-stage durations of the winning attempts (the speculation
+    /// quantile's input).
+    pub(crate) finished_secs: Vec<Vec<f64>>,
     /// Tasks currently flagged speculatable (not yet copied).
     pub(crate) spec_set: SpeculationSet,
-    /// Highest observed peak memory per task, fed back into offers.
-    pub(crate) observed_peak: HashMap<(StageId, usize), ByteSize>,
-    /// Tasks killed by node faults (or re-pended by lineage recompute)
-    /// that have not yet been re-run to completion, with the kill time.
-    pub(crate) kill_pending: HashMap<TaskRef, SimTime>,
 }
 
 impl ClusterState {

@@ -12,9 +12,12 @@
 //! * [`cache`] — per-executor LRU partition cache (Spark storage memory).
 //! * [`scheduler`] — the offer-based scheduler interface and the
 //!   read-only views schedulers decide from.
-//! * [`offer_state`] — the persistent node views and pending list both
-//!   hosts (sim engine, serve driver) build offer inputs from, kept
-//!   current by dirty marks instead of a per-round rebuild.
+//! * [`control`] — the control layer both hosts (sim engine, serve
+//!   driver) own: task, stage and job bookkeeping, the map-output ledger
+//!   and the offer state, with every transition defined once.
+//! * [`offer_state`] — the persistent node views and pending list offer
+//!   inputs are built from, kept current by dirty marks instead of a
+//!   per-round rebuild.
 //! * [`shuffle`] — the map-output ledger: where shuffle outputs live,
 //!   the reducer-preference rule, and the lineage-recompute walk.
 //! * [`speculation`] — Spark's speculative-execution policy (quantile +
@@ -38,6 +41,7 @@
 pub mod audit;
 pub mod cache;
 pub mod config;
+pub mod control;
 pub mod costmodel;
 pub mod engine;
 pub mod offer_state;

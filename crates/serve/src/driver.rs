@@ -41,29 +41,24 @@
 //! [`WallClockSource`]: rupam_simcore::source::WallClockSource
 //! [`Calendar`]: rupam_simcore::Calendar
 
-use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
-use rupam_dag::app::{JobId, StageId};
-use rupam_dag::lineage::StageTracker;
-use rupam_dag::task::InputSource;
-use rupam_dag::{Locality, MergedStream, TaskRef};
+use rupam_dag::{MergedStream, TaskRef};
 use rupam_elastic::{Controller, FleetNode, ScalingAction};
 use rupam_exec::config::SimConfig;
-use rupam_exec::offer_state::{OfferHost, OfferState, ShufflePrefs};
-use rupam_exec::scheduler::{
-    Command, KillReason, NodeView, OfferInput, PendingTaskView, RunningTaskView, Scheduler,
-};
-use rupam_exec::shuffle::MapOutputLedger;
+use rupam_exec::control::{AttemptId, ControlHost, ControlPlane, Io, TaskState};
+use rupam_exec::engine::{EngineEvent, EventCtx};
+use rupam_exec::offer_state::ShufflePrefs;
+use rupam_exec::scheduler::{Command, KillReason, NodeView, RunningTaskView, Scheduler};
 use rupam_exec::EngineError;
 use rupam_faults::{FailureDetector, NodeHealth};
-use rupam_metrics::breakdown::{BreakdownCategory, TaskBreakdown};
+use rupam_metrics::breakdown::BreakdownCategory;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
-use rupam_metrics::trace::{AbortCause, TraceBuffer, TraceEvent, TraceEventKind};
+use rupam_metrics::trace::{AbortCause, TraceBuffer};
 use rupam_simcore::source::EventSource;
 use rupam_simcore::stats::quantile;
 use rupam_simcore::time::{SimDuration, SimTime};
@@ -149,26 +144,12 @@ impl Outbox {
 }
 
 struct RunningSt {
-    task: TaskRef,
-    attempt: u32,
-    launched_at: SimTime,
-    peak_mem: ByteSize,
-    use_gpu: bool,
-    locality: Locality,
-    breakdown: TaskBreakdown,
+    /// The run-wide attempt number: the launch count when it launched.
+    id: AttemptId,
+    /// The attempt's record, but for when and how it ends.
+    rec: TaskRecord,
     /// Why the driver asked the worker to kill this attempt, if it did.
     kill: Option<KillReason>,
-}
-
-enum TaskSt {
-    Pending { attempt_no: u32, since: SimTime },
-    Running { node: NodeId, attempt: u32 },
-    Done,
-}
-
-struct StageSt {
-    released: bool,
-    tasks: Vec<TaskSt>,
 }
 
 struct NodeSt {
@@ -186,11 +167,6 @@ struct NodeSt {
     provisioned: bool,
     /// Preemption drain deadline, when a notice is outstanding.
     drain_deadline: Option<SimTime>,
-}
-
-struct JobSt {
-    submitted: Option<SimTime>,
-    completed: Option<SimTime>,
 }
 
 /// Sim seconds → wall duration under the serve time scale, floored at
@@ -272,26 +248,19 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     outbox: Outbox,
     now: SimTime,
     nodes: Vec<NodeSt>,
-    stages: Vec<StageSt>,
-    jobs: Vec<JobSt>,
-    tracker: StageTracker,
-    outputs: MapOutputLedger,
+    /// Task, stage and job bookkeeping and the offer state, shared with
+    /// the sim engine.
+    ctl: ControlPlane<'a>,
     detector: FailureDetector,
     trace: TraceBuffer,
     round: u64,
     draining: bool,
     abort: Option<AbortCause>,
-    kill_pending: HashMap<TaskRef, SimTime>,
-    observed_peak: HashMap<(StageId, usize), ByteSize>,
     dispatch_us: Vec<u64>,
     max_pending: usize,
     launched: u64,
     completed: u64,
     failed: u64,
-    /// The persistent node views and pending list offer rounds are
-    /// built from (shared with the sim engine), kept current by the
-    /// dirty marks event application leaves.
-    offers: OfferState,
     // ---- event-driven offer scheduling ----
     /// Stamp of the already-scheduled [`ServeEvent::Offer`], if any.
     offer_due: Option<SimTime>,
@@ -341,23 +310,6 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 }
             })
             .collect();
-        let stages = catalog
-            .app
-            .stages
-            .iter()
-            .map(|s| StageSt {
-                released: false,
-                tasks: (0..s.tasks.len())
-                    .map(|_| TaskSt::Pending {
-                        attempt_no: 0,
-                        since: SimTime::ZERO,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let chains: Vec<std::ops::Range<usize>> =
-            catalog.jobs.iter().map(|j| j.app_jobs.clone()).collect();
-        let n_nodes = cluster.len();
         ServeDriver {
             cluster,
             catalog,
@@ -367,30 +319,23 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             outbox,
             now: SimTime::ZERO,
             nodes,
-            stages,
-            jobs: catalog
-                .jobs
-                .iter()
-                .map(|_| JobSt {
-                    submitted: None,
-                    completed: None,
-                })
-                .collect(),
-            tracker: StageTracker::new_stream(&catalog.app, &chains),
-            outputs: MapOutputLedger::new(&catalog.app, n_nodes),
+            ctl: ControlPlane::new(
+                cluster,
+                &cfg.sim,
+                &catalog.app,
+                &catalog.layout,
+                Some(catalog),
+            ),
             detector: FailureDetector::new(cluster.len(), &cfg.sim.faults, SimTime::ZERO),
             trace: TraceBuffer::new(rupam_metrics::trace::DEFAULT_TRACE_CAPACITY),
             round: 0,
             draining: false,
             abort: None,
-            kill_pending: HashMap::new(),
-            observed_peak: HashMap::new(),
             dispatch_us: Vec::new(),
             max_pending: 0,
             launched: 0,
             completed: 0,
             failed: 0,
-            offers: OfferState::new(&catalog.app, n_nodes),
             offer_due: None,
             last_offer_at: None,
             elastic: (!cfg.sim.elastic.is_empty()).then(|| {
@@ -409,32 +354,33 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         }
     }
 
-    fn record(&mut self, kind: TraceEventKind) {
-        self.trace.record(TraceEvent {
-            at: self.now,
-            round: self.round,
-            kind,
-        });
+    /// Record `event`'s trace projection.
+    fn publish(&mut self, event: EngineEvent) {
+        self.control().1.publish(event);
     }
 
-    /// End the run with `cause`, blaming `task` if one is at fault.
-    fn abort(&mut self, cause: AbortCause, task: Option<TaskRef>) {
-        self.record(TraceEventKind::Aborted { cause, task });
+    /// The control plane, and what its transitions act through: the
+    /// driver's clock, offer round, scheduler and trace.
+    fn control(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
+        let ctx = EventCtx {
+            at: self.now,
+            round: self.round,
+        };
+        let (sched, sink) = (&mut *self.sched, &mut self.trace);
+        (&mut self.ctl, Io { ctx, sched, sink })
+    }
+
+    /// End the run with `cause`.
+    fn abort(&mut self, cause: AbortCause) {
+        self.publish(EngineEvent::Aborted { cause, task: None });
         self.abort = Some(cause);
     }
 
     fn finished(&self) -> bool {
-        if self.abort.is_some() {
-            return true;
-        }
-        let submitted_done = self
-            .jobs
-            .iter()
-            .all(|j| j.submitted.is_none() || j.completed.is_some());
-        let all_submitted = self.jobs.iter().all(|j| j.submitted.is_some());
-        submitted_done
-            && (self.draining || all_submitted)
-            && (self.draining || !self.jobs.is_empty())
+        let jobs = self.ctl.jobs();
+        let submitted_done = (jobs.iter()).all(|j| !j.submitted || j.completed_at.is_some());
+        let all_submitted = !jobs.is_empty() && jobs.iter().all(|j| j.submitted);
+        self.abort.is_some() || (submitted_done && (self.draining || all_submitted))
     }
 
     /// Run to drain (or abort). [`EngineError::SourceDisconnected`] means
@@ -444,7 +390,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         self.source.schedule(self.now + tick, ServeEvent::Tick);
         while !self.finished() {
             let Some((t, ev)) = self.source.pop() else {
-                self.abort(AbortCause::SourceDisconnected, None);
+                self.abort(AbortCause::SourceDisconnected);
                 self.shutdown_workers();
                 return Err(EngineError::SourceDisconnected { at: self.now });
             };
@@ -456,7 +402,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     self.elastic_tick();
                     if let Some(max) = self.cfg.max_wall {
                         if self.now >= SimTime(max.as_micros() as u64) && !self.finished() {
-                            self.abort(AbortCause::Livelock, None);
+                            self.abort(AbortCause::Livelock);
                             break;
                         }
                     }
@@ -492,31 +438,16 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
 
     fn handle_client(&mut self, req: ClientRequest) {
         match req {
-            ClientRequest::Submit { job } => self.submit_job(job),
+            ClientRequest::Submit { job } => {
+                // an unknown or duplicate job id is ignored like a
+                // malformed RPC
+                let (ctl, mut io) = self.control();
+                if ctl.submit_job(job, &mut io) {
+                    self.request_offers();
+                }
+            }
             ClientRequest::Drain => self.draining = true,
         }
-    }
-
-    fn submit_job(&mut self, job: JobId) {
-        let Some(j) = self.jobs.get_mut(job.index()) else {
-            return; // unknown job id: ignore like a malformed RPC
-        };
-        if j.submitted.is_some() {
-            return; // duplicate submission
-        }
-        j.submitted = Some(self.now);
-        self.record(TraceEventKind::JobSubmitted {
-            job,
-            tenant: self.catalog.tenant_of(job),
-        });
-        let stages: Vec<StageId> = (0..self.stages.len())
-            .map(StageId)
-            .filter(|s| self.catalog.stage_jobs[s.index()] == job)
-            .collect();
-        self.sched.on_job_submitted(job, &stages, self.now);
-        self.tracker.arrive(job.index());
-        self.release_ready();
-        self.request_offers();
     }
 
     fn handle_worker(&mut self, worker: NodeId, report: WorkerReport) {
@@ -529,13 +460,13 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 self.nodes[worker.index()].registered = true;
                 if fresh {
                     let mem = self.nodes[worker.index()].executor_mem;
-                    self.record(TraceEventKind::ExecutorSized { node: worker, mem });
+                    self.publish(EngineEvent::ExecutorSized { node: worker, mem });
                 }
                 // a re-registering worker starts with an empty slot set
                 let nst = &mut self.nodes[worker.index()];
                 nst.net_util = 0.0;
                 nst.disk_util = 0.0;
-                self.offers.node_dirty(worker);
+                self.ctl.offers().node_dirty(worker);
                 self.observe_liveness(worker);
                 self.request_offers();
             }
@@ -552,15 +483,17 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     // work — mark the view stale but let the next
                     // triggered round pick it up (no offer request, so
                     // heartbeat storms cannot thrash rounds)
-                    self.offers.node_dirty(worker);
+                    self.ctl.offers().node_dirty(worker);
                 }
             }
-            WorkerReport::Completed { task, attempt } => self.on_completed(worker, task, attempt),
+            WorkerReport::Completed { task, attempt } => {
+                self.attempt_ended(worker, task, attempt, None)
+            }
             WorkerReport::Failed {
                 task,
                 attempt,
                 reason,
-            } => self.on_failed(worker, task, attempt, reason),
+            } => self.attempt_ended(worker, task, attempt, Some(reason)),
         }
     }
 
@@ -570,90 +503,56 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     fn observe_liveness(&mut self, worker: NodeId) {
         if self.detector.is_dead(worker) {
             self.detector.revive(worker, self.now);
-            self.record(TraceEventKind::NodeRecovered { node: worker });
+            self.publish(EngineEvent::NodeRecovered { node: worker });
             self.request_offers();
         } else {
             self.detector.observe(worker, self.now);
         }
     }
 
-    fn take_running(&mut self, worker: NodeId, task: TaskRef, attempt: u32) -> Option<RunningSt> {
-        let node = &mut self.nodes[worker.index()];
-        let pos = node
-            .running
-            .iter()
-            .position(|r| r.task == task && r.attempt == attempt)?;
-        let entry = node.running.remove(pos);
-        debug_assert!(matches!(
-            self.stages[task.stage.index()].tasks[task.index],
-            TaskSt::Running { node: n, attempt: a } if n == worker && a == attempt
-        ));
-        node.mem_in_use = node.mem_in_use.saturating_sub(entry.peak_mem);
-        Some(entry)
-    }
-
-    fn on_completed(&mut self, worker: NodeId, task: TaskRef, attempt: u32) {
+    /// `worker` reports that an attempt completed, or failed.
+    fn attempt_ended(
+        &mut self,
+        worker: NodeId,
+        task: TaskRef,
+        attempt: u32,
+        failure: Option<TaskFailure>,
+    ) {
         // a report for an attempt the server no longer tracks (node was
         // declared dead and the task re-queued, or a preempt raced a
         // completion) is stale — drop it, the authoritative copy wins
-        let Some(entry) = self.take_running(worker, task, attempt) else {
+        let node = &mut self.nodes[worker.index()];
+        let Some(pos) =
+            (node.running.iter()).position(|r| (r.rec.task, r.rec.attempt) == (task, attempt))
+        else {
             return;
         };
-        let sidx = task.stage.index();
-        self.stages[sidx].tasks[task.index] = TaskSt::Done;
-        if self
-            .outputs
-            .record_win(&self.catalog.app, task, worker, attempt)
-        {
-            self.offers.outputs_moved(task.stage);
-        }
-        let stage = self.catalog.app.stage(task.stage);
-        self.kill_pending.remove(&task);
-        self.observed_peak
-            .insert((task.stage, task.index), entry.peak_mem);
-        self.completed += 1;
-        let record = TaskRecord {
-            task,
-            job: self.catalog.stage_jobs[sidx],
-            template_key: stage.template_key,
-            attempt,
-            node: worker,
-            speculative: false,
-            locality: entry.locality,
-            launched_at: entry.launched_at,
-            finished_at: self.now,
-            outcome: AttemptOutcome::Success,
-            breakdown: entry.breakdown,
-            peak_mem: entry.peak_mem,
-            used_gpu: entry.use_gpu,
-        };
-        self.sched.on_task_finished(&record, self.now);
-
-        for ready in self.tracker.task_finished(&self.catalog.app, task.stage) {
-            self.release_stage(ready);
-        }
-        let job = self.catalog.stage_jobs[sidx];
-        if self.jobs[job.index()].completed.is_none() && self.tracker.chain_done(job.index()) {
-            self.jobs[job.index()].completed = Some(self.now);
-            self.record(TraceEventKind::JobCompleted {
-                job,
-                tenant: self.catalog.tenant_of(job),
-            });
-        }
-        self.request_offers();
-    }
-
-    fn on_failed(&mut self, worker: NodeId, task: TaskRef, attempt: u32, reason: TaskFailure) {
-        let Some(entry) = self.take_running(worker, task, attempt) else {
-            return; // stale, same as completions
-        };
-        let outcome = match reason {
-            TaskFailure::Oom => {
+        let entry = node.running.remove(pos);
+        node.mem_in_use = node.mem_in_use.saturating_sub(entry.rec.peak_mem);
+        debug_assert!(matches!(
+            self.ctl.task(task),
+            TaskState::Running { attempts } if attempts == &[entry.id]
+        ));
+        let outcome = match failure {
+            None => {
+                self.completed += 1;
+                let (now, outcome) = (self.now, AttemptOutcome::Success);
+                let record = TaskRecord {
+                    finished_at: now,
+                    outcome,
+                    ..entry.rec
+                };
+                let (ctl, mut io) = self.control();
+                ctl.attempt_finished(&record, &mut io);
+                self.request_offers();
+                return;
+            }
+            Some(TaskFailure::Oom) => {
                 let node = &self.nodes[worker.index()];
-                let pressure_pct = (node.mem_in_use.as_f64() + entry.peak_mem.as_f64())
+                let pressure_pct = (node.mem_in_use.as_f64() + entry.rec.peak_mem.as_f64())
                     / node.executor_mem.as_f64().max(1.0)
                     * 100.0;
-                self.record(TraceEventKind::OomTaskKill {
+                self.publish(EngineEvent::OomTaskKill {
                     task,
                     node: worker,
                     pressure_pct: pressure_pct as u32,
@@ -662,39 +561,26 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             }
             // workers preempt only on the driver's command; a kill the
             // driver did not order is the node reclaiming its slot
-            TaskFailure::Preempted => entry
+            Some(TaskFailure::Preempted) => entry
                 .kill
                 .map_or(AttemptOutcome::NodeFaulted, KillReason::outcome),
         };
-        self.fail_attempt(worker, task, attempt, outcome);
+        self.fail_attempt(entry, outcome);
     }
 
-    /// A running attempt failed: tell the scheduler, then re-pend the
-    /// task — or abort the run once its retries are exhausted.
-    fn fail_attempt(
-        &mut self,
-        worker: NodeId,
-        task: TaskRef,
-        attempt: u32,
-        outcome: AttemptOutcome,
-    ) {
+    /// A running attempt failed: the control plane re-pends its task, or
+    /// aborts the run once its retries are exhausted.
+    fn fail_attempt(&mut self, entry: RunningSt, outcome: AttemptOutcome) {
         self.failed += 1;
-        self.sched.on_task_failed(task, worker, outcome, self.now);
-        let next = attempt + 1;
-        if self.cfg.sim.mem.retries_exhausted(next) {
-            self.abort(AbortCause::RetriesExhausted, Some(task));
-            return;
-        }
-        self.repend(task, next);
-    }
-
-    /// Put `task` back into the pending set as attempt `attempt_no`.
-    fn repend(&mut self, task: TaskRef, attempt_no: u32) {
-        self.stages[task.stage.index()].tasks[task.index] = TaskSt::Pending {
-            attempt_no,
-            since: self.now,
+        let record = TaskRecord {
+            finished_at: self.now,
+            outcome,
+            ..entry.rec
         };
-        self.offers.task_dirty(task);
+        let (ctl, mut io) = self.control();
+        if ctl.attempt_failed(entry.id, &record, &mut io) {
+            self.abort = Some(AbortCause::RetriesExhausted);
+        }
         self.request_offers();
     }
 
@@ -704,60 +590,48 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         for tr in self.detector.evaluate(self.now) {
             // every health transition changes the node's view (suspect /
             // dead / blocked flags) and can change what is dispatchable
-            self.offers.node_dirty(tr.node);
+            self.ctl.offers().node_dirty(tr.node);
             match tr.to {
                 NodeHealth::Suspect => {
-                    self.record(TraceEventKind::NodeSuspect {
+                    self.publish(EngineEvent::NodeSuspect {
                         node: tr.node,
                         age: tr.age,
                     });
                     self.request_offers();
                 }
                 NodeHealth::Dead => {
-                    self.record(TraceEventKind::NodeDead {
+                    self.publish(EngineEvent::NodeDead {
                         node: tr.node,
                         age: tr.age,
                     });
                     self.node_lost(tr.node);
                 }
-                NodeHealth::Alive => {
-                    self.record(TraceEventKind::NodeRecovered { node: tr.node });
-                    self.request_offers();
-                }
+                // a suspect's heartbeats caught up before the dead
+                // threshold: it never left the rankings, so nothing is
+                // recorded (as in the engine), but its view changed
+                NodeHealth::Alive => self.request_offers(),
             }
         }
     }
 
-    /// A node was declared dead: kill-and-requeue its running attempts
-    /// and re-pend finished map tasks whose winning output lived there
-    /// (the shared lineage walk; serve workers hold no executor cache to
-    /// wipe).
+    /// A node was declared dead: kill-and-requeue its running attempts,
+    /// cancel any preemption notice (the node is already gone), and let
+    /// the control plane re-pend finished map tasks whose winning output
+    /// lived there (serve workers hold no executor cache to wipe).
     fn node_lost(&mut self, node_id: NodeId) {
-        let victims: Vec<RunningSt> = std::mem::take(&mut self.nodes[node_id.index()].running);
-        for v in victims {
-            self.kill_pending.entry(v.task).or_insert(self.now);
-            self.fail_attempt(node_id, v.task, v.attempt, AttemptOutcome::NodeFaulted);
-        }
         let nst = &mut self.nodes[node_id.index()];
+        let victims = std::mem::take(&mut nst.running);
         nst.mem_in_use = ByteSize::ZERO;
         nst.net_util = 0.0;
         nst.disk_util = 0.0;
-        let lost = self
-            .outputs
-            .lose_node(&self.catalog.app, &mut self.tracker, node_id);
-        for (stage, tasks) in lost {
-            for &(index, attempt_no) in &tasks {
-                let task = TaskRef { stage, index };
-                self.kill_pending.entry(task).or_insert(self.now);
-                self.repend(task, attempt_no);
-            }
-            self.record(TraceEventKind::LineageRecompute {
-                stage,
-                node: node_id,
-                tasks: tasks.len(),
-            });
-            self.offers.outputs_moved(stage);
+        nst.drain_deadline = None;
+        for v in victims {
+            let (ctl, mut io) = self.control();
+            ctl.task_killed(v.rec.task, node_id, &mut io);
+            self.fail_attempt(v, AttemptOutcome::NodeFaulted);
         }
+        let (ctl, mut io) = self.control();
+        ctl.outputs_lost(node_id, &mut io);
         self.request_offers();
     }
 
@@ -789,7 +663,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             let node = NodeId(i);
             // free the worker's slots; its failure reports arrive as
             // stale (the authoritative attempts are requeued below)
-            let held: Vec<TaskRef> = self.nodes[i].running.iter().map(|r| r.task).collect();
+            let held: Vec<TaskRef> = self.nodes[i].running.iter().map(|r| r.rec.task).collect();
             for task in held {
                 self.outbox.send(node, WorkerCommand::Preempt { task });
             }
@@ -807,27 +681,25 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 })
                 .collect();
             // the flushed persistent list is the released pending set
-            let mut offers = std::mem::take(&mut self.offers);
-            let backlog = offers.backlog(&*self);
-            self.offers = offers;
+            let backlog = ControlPlane::backlog(self);
             let grace = ecfg.scale_down_idle_secs * cfg.time_scale;
             let actions = ctl.check(ecfg, self.now, grace, &fleet, backlog);
             // the actions need no view marks: an unprovisioned view was
             // blocked, so it is rebuilt next round, and the price step
             // marked every provisioned spot node
-            self.offers.prices_stepped(&ctl, &fleet);
+            self.ctl.offers().prices_stepped(&ctl, &fleet);
             for action in actions {
                 match action {
                     ScalingAction::Provision(node) => {
                         self.nodes[node.index()].provisioned = true;
                         self.provisions += 1;
-                        self.record(TraceEventKind::NodeProvisioned { node });
+                        self.publish(EngineEvent::NodeProvisioned { node });
                         self.request_offers();
                     }
                     ScalingAction::Decommission(node) => {
                         self.nodes[node.index()].provisioned = false;
                         self.decommissions += 1;
-                        self.record(TraceEventKind::NodeDecommissioned { node });
+                        self.publish(EngineEvent::NodeDecommissioned { node });
                         // map outputs leave with the node: same loss
                         // path as a crash, lineage recompute included
                         self.node_lost(node);
@@ -835,7 +707,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     ScalingAction::Preempt { node, notice_secs } => {
                         let notice = wall_secs(notice_secs, cfg.time_scale);
                         self.nodes[node.index()].drain_deadline = Some(self.now + notice);
-                        self.record(TraceEventKind::PreemptionNotice { node, notice });
+                        self.publish(EngineEvent::PreemptionNotice { node, notice });
                         self.request_offers();
                     }
                 }
@@ -844,67 +716,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         self.elastic = Some(ctl);
     }
 
-    // ---- stage release & offers -----------------------------------------
-
-    fn release_ready(&mut self) {
-        for s in self.tracker.take_ready(&self.catalog.app) {
-            self.release_stage(s);
-        }
-    }
-
-    fn release_stage(&mut self, stage: StageId) {
-        let now = self.now;
-        let st = &mut self.stages[stage.index()];
-        if st.released {
-            return;
-        }
-        st.released = true;
-        for t in st.tasks.iter_mut() {
-            if let TaskSt::Pending { since, .. } = t {
-                *since = now;
-            }
-        }
-        self.offers.stage_released(stage);
-        self.sched
-            .on_stage_ready(self.catalog.app.stage(stage), self.now);
-    }
-
-    /// The view of `task` as attempt `attempt_no`. Placement preferences
-    /// are the sim engine's without the executor-cache tier (serve
-    /// workers hold no partition cache): static HDFS replica lists, and
-    /// the ledger's shuffle `NODE_LOCAL` rule through the per-stage memo.
-    fn task_view(
-        &self,
-        task: TaskRef,
-        attempt_no: u32,
-        prefs: &mut ShufflePrefs,
-    ) -> PendingTaskView {
-        let stage = self.catalog.app.stage(task.stage);
-        let template = &stage.tasks[task.index];
-        let node_local = match &template.input {
-            InputSource::Hdfs(block)
-            | InputSource::CachedOrHdfs {
-                fallback: block, ..
-            } => self.catalog.layout.block(*block).replicas.clone(),
-            InputSource::Shuffle => prefs.node_local(&self.outputs, &self.catalog.app, task.stage),
-            InputSource::Generated => Vec::new(),
-        };
-        PendingTaskView {
-            task,
-            job: self.catalog.stage_jobs[task.stage.index()],
-            template_key: stage.template_key,
-            stage_kind: stage.kind,
-            attempt_no,
-            peak_mem_hint: self
-                .observed_peak
-                .get(&(task.stage, task.index))
-                .copied()
-                .unwrap_or(ByteSize::ZERO),
-            gpu_capable: template.demand.is_gpu_capable(),
-            process_nodes: Vec::new(),
-            node_local,
-        }
-    }
+    // ---- offers ----------------------------------------------------------
 
     /// Schedule a coalesced offer round: immediately if the coalescing
     /// window since the last round has passed, else at the window's end.
@@ -928,40 +740,19 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     fn offer_round(&mut self) {
         let started = Instant::now();
         self.round += 1;
-        let mut offers = std::mem::take(&mut self.offers);
-        let views = offers.round(&*self);
-        let running_total: usize = views.nodes.iter().map(|v| v.running.len()).sum();
-        let blocked_count = views.nodes.iter().filter(|v| v.blocked).count();
-        self.max_pending = self.max_pending.max(views.pending.len());
-
-        let job_arrivals: Vec<SimTime> = self
-            .jobs
-            .iter()
-            .map(|j| j.submitted.unwrap_or(SimTime(u64::MAX)))
-            .collect();
-        // the persistent structures ride into the snapshot and come
-        // straight back — no per-round reconstruction, no copies
-        let input = OfferInput {
-            now: self.now,
-            cluster: self.cluster,
-            app: &self.catalog.app,
-            nodes: views.nodes,
-            pending: views.pending,
-            speculatable: Vec::new(),
-            job_arrivals,
-            job_tenants: self.catalog.job_tenants(),
-            changed: views.changed,
-            pending_fresh: views.pending_fresh,
-        };
+        let now = self.now;
+        let input = ControlPlane::offer_input(self, now);
+        let running_total: usize = input.nodes.iter().map(|v| v.running.len()).sum();
+        let blocked_count = input.nodes.iter().filter(|v| v.blocked).count();
+        self.max_pending = self.max_pending.max(input.pending.len());
         let commands = self.sched.offer_round(&input);
-        self.record(TraceEventKind::OfferRound {
+        self.publish(EngineEvent::OfferRound {
             pending: input.pending.len(),
             running: running_total,
             blocked: blocked_count,
             commands: commands.len(),
         });
-        offers.settle(input.nodes, input.pending, &commands);
-        self.offers = offers;
+        self.ctl.settle(input, &commands);
         for cmd in commands {
             self.apply_command(cmd);
         }
@@ -980,9 +771,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 if speculative {
                     return; // serve mode offers no speculatable set
                 }
-                let TaskSt::Pending { attempt_no, since } =
-                    self.stages[task.stage.index()].tasks[task.index]
-                else {
+                let TaskState::Pending { attempt_no, since } = *self.ctl.task(task) else {
                     // stale command: already launched or done
                     self.stale_drops += 1;
                     return;
@@ -1009,29 +798,37 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 let spec = self.cluster.node(node);
                 let gpu = use_gpu && spec.gpus > 0 && demand.is_gpu_capable();
                 let (dur, breakdown) = estimate(demand, spec, gpu);
-                let locality = self
-                    .task_view(task, attempt_no, &mut ShufflePrefs::default())
+                let locality = (self.ctl)
+                    .task_view(self, task, attempt_no, &mut ShufflePrefs::default())
                     .locality(self.cluster, node);
+                let id = self.launched as AttemptId;
+                let launch_job = self.ctl.job_of(task.stage);
+                let rec = TaskRecord {
+                    task,
+                    job: launch_job,
+                    template_key: stage.template_key,
+                    attempt: attempt_no,
+                    node,
+                    speculative: false,
+                    locality,
+                    launched_at: self.now,
+                    finished_at: self.now,
+                    outcome: AttemptOutcome::Success,
+                    breakdown,
+                    peak_mem: demand.peak_mem,
+                    used_gpu: gpu,
+                };
                 let nst = &mut self.nodes[node.index()];
                 nst.mem_in_use += demand.peak_mem;
                 nst.running.push(RunningSt {
-                    task,
-                    attempt: attempt_no,
-                    launched_at: self.now,
-                    peak_mem: demand.peak_mem,
-                    use_gpu: gpu,
-                    locality,
-                    breakdown,
+                    id,
+                    rec,
                     kill: None,
                 });
-                self.stages[task.stage.index()].tasks[task.index] = TaskSt::Running {
-                    node,
-                    attempt: attempt_no,
-                };
+                self.ctl.launched(task, id);
                 self.dispatch_us.push(self.now.since(since).0);
                 self.launched += 1;
-                let launch_job = self.catalog.stage_jobs[task.stage.index()];
-                self.record(TraceEventKind::Launch {
+                self.publish(EngineEvent::Launch {
                     task,
                     job: launch_job,
                     tenant: self.catalog.tenant_of(launch_job),
@@ -1077,11 +874,11 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             }
             Command::KillAndRequeue { task, node, reason } => {
                 let running = &mut self.nodes[node.index()].running;
-                let Some(attempt) = running.iter_mut().find(|r| r.task == task) else {
+                let Some(attempt) = running.iter_mut().find(|r| r.rec.task == task) else {
                     return; // stale view: finished or moved since the offer
                 };
                 attempt.kill = Some(reason);
-                self.record(TraceEventKind::KillRequeue { task, node });
+                self.publish(EngineEvent::KillRequeue { task, node });
                 // the attempt stays "running" until the worker confirms
                 // with Failed { Preempted } — the confirmation is an
                 // external event, so replay sees the same ordering
@@ -1102,13 +899,9 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         };
         let lat: Vec<f64> = self.dispatch_us.iter().map(|&us| us as f64).collect();
         let offer: Vec<f64> = self.offer_us.iter().map(|&us| us as f64).collect();
-        let jobs_submitted = self.jobs.iter().filter(|j| j.submitted.is_some()).count();
-        let jobs_completed = self.jobs.iter().filter(|j| j.completed.is_some()).count();
-        let lost_tasks = self
-            .kill_pending
-            .keys()
-            .filter(|t| !matches!(self.stages[t.stage.index()].tasks[t.index], TaskSt::Done))
-            .count();
+        let jobs = self.ctl.jobs();
+        let jobs_submitted = jobs.iter().filter(|j| j.submitted).count();
+        let jobs_completed = jobs.iter().filter(|j| j.completed_at.is_some()).count();
         ServeReport {
             digest: self.trace.digest(),
             events_recorded: self.trace.recorded(),
@@ -1117,7 +910,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             launched: self.launched,
             completed: self.completed,
             failed: self.failed,
-            lost_tasks,
+            lost_tasks: self.ctl.lost_tasks().len(),
             max_pending: self.max_pending,
             dispatch_p50_us: pct(&lat, 0.50),
             dispatch_p99_us: pct(&lat, 0.99),
@@ -1138,9 +931,17 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     }
 }
 
-/// The serve driver builds its views from the same tables event
-/// application mutates.
-impl<S: EventSource<ServeEvent>> OfferHost for ServeDriver<'_, S> {
+/// The serve driver lends the control plane views of the node tables
+/// event application mutates.
+impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
+    fn control(&self) -> &ControlPlane<'a> {
+        &self.ctl
+    }
+
+    fn control_mut(&mut self) -> &mut ControlPlane<'a> {
+        &mut self.ctl
+    }
+
     fn node_view(&self, id: NodeId) -> NodeView {
         let st = &self.nodes[id.index()];
         let spec = self.cluster.node(id);
@@ -1151,14 +952,14 @@ impl<S: EventSource<ServeEvent>> OfferHost for ServeDriver<'_, S> {
             .running
             .iter()
             .map(|r| RunningTaskView {
-                task: r.task,
+                task: r.rec.task,
                 speculative: false,
-                elapsed: now.since(r.launched_at),
-                peak_mem: r.peak_mem,
-                on_gpu: r.use_gpu,
+                elapsed: now.since(r.rec.launched_at),
+                peak_mem: r.rec.peak_mem,
+                on_gpu: r.rec.used_gpu,
             })
             .collect();
-        let gpus_busy = st.running.iter().filter(|r| r.use_gpu).count() as u32;
+        let gpus_busy = st.running.iter().filter(|r| r.rec.used_gpu).count() as u32;
         let draining = st.drain_deadline.is_some();
         let (tier, preempt_risk) = match &self.elastic {
             Some(ctl) if st.provisioned => (ctl.tier_of(id), ctl.risk_of(id)),
@@ -1188,14 +989,83 @@ impl<S: EventSource<ServeEvent>> OfferHost for ServeDriver<'_, S> {
     fn heartbeat_age(&self, node: NodeId) -> SimDuration {
         self.detector.age(node, self.now)
     }
+}
 
-    fn pending_view(&self, task: TaskRef, prefs: &mut ShufflePrefs) -> Option<PendingTaskView> {
-        let stage = &self.stages[task.stage.index()];
-        match stage.tasks[task.index] {
-            TaskSt::Pending { attempt_no, .. } if stage.released => {
-                Some(self.task_view(task, attempt_no, prefs))
-            }
-            _ => None,
+#[cfg(test)]
+mod tests {
+    use rupam_exec::testutil::FifoScheduler;
+    use rupam_metrics::trace::TraceEventKind;
+    use rupam_simcore::Calendar;
+
+    use super::*;
+    use crate::proto::{Frame, WorkerMsg};
+    use crate::testbed::{build_fleet, pressure_stream};
+
+    /// A suspect node whose heartbeats catch up before the dead threshold
+    /// never left the rankings: serve records its `NodeSuspect` but, like
+    /// the engine, no `NodeRecovered`. Of eight beaconing workers, node 1
+    /// sends none between 0.5 ms and 5 ms (suspect at the 3 ms tick,
+    /// alive again at the 5 ms one).
+    #[test]
+    fn suspect_that_catches_up_is_not_recorded_as_recovered() {
+        let cluster = build_fleet(8);
+        let catalog = pressure_stream(1, 1);
+        let mut cfg = ServeConfig {
+            tick: Duration::from_millis(1),
+            ..ServeConfig::default()
+        };
+        cfg.sim.faults.suspect_after = SimDuration(2_000);
+        cfg.sim.faults.dead_after = SimDuration(10_000);
+        let mut cal = Calendar::new();
+        let mut report = |at: u64, node: usize, body| {
+            let frame = Frame { seq: at, body };
+            let msg = WorkerMsg {
+                worker: NodeId(node),
+                frame,
+            };
+            cal.schedule(SimTime(at), ServeEvent::Worker(msg));
+        };
+        for node in 0..8 {
+            report(0, node, WorkerReport::Register);
         }
+        for at in (500..8_000).step_by(500) {
+            for node in 0..8 {
+                if node != 1 || !(1_000..5_000).contains(&at) {
+                    let (net_util, disk_util) = (0.0, 0.0);
+                    report(
+                        at,
+                        node,
+                        WorkerReport::Heartbeat {
+                            net_util,
+                            disk_util,
+                        },
+                    );
+                }
+            }
+        }
+        let drain = Frame {
+            seq: 0,
+            body: ClientRequest::Drain,
+        };
+        cal.schedule(SimTime(8_000), ServeEvent::Client(drain));
+        let mut sched = FifoScheduler::new();
+        let mut drv = ServeDriver::new(&cluster, &catalog, &cfg, &mut sched, cal, Outbox::Replay);
+        drv.run().expect("replay runs");
+        let health: Vec<TraceEventKind> = (drv.trace.iter())
+            .map(|e| e.kind.clone())
+            .filter(|k| {
+                matches!(
+                    k,
+                    TraceEventKind::NodeSuspect { .. } | TraceEventKind::NodeRecovered { .. }
+                )
+            })
+            .collect();
+        assert_eq!(
+            health,
+            vec![TraceEventKind::NodeSuspect {
+                node: NodeId(1),
+                age: SimDuration(2_500),
+            }]
+        );
     }
 }

@@ -1,8 +1,10 @@
 //! The control rules serve shares with the sim engine: the
 //! `KillReason → AttemptOutcome` map, the retry-exhaustion test,
-//! node-loss requeues counting against the retry limit, and the shared
-//! offer state's dirty marks: price steps refresh every provisioned spot
-//! node's view, and worker reports refresh idle nodes' views.
+//! node-loss requeues counting against the retry limit, a failed
+//! attempt's peak feeding the task's hint, node loss cancelling a
+//! preemption notice, and the shared offer state's dirty marks: price
+//! steps refresh every provisioned spot node's view, and worker reports
+//! refresh idle nodes' views.
 //!
 //! All but one test drive the serve driver through [`replay`] over a
 //! hand-written input log and a stub scheduler, so every decision is
@@ -189,6 +191,127 @@ fn node_loss_requeue_counts_against_the_retry_limit() {
         "{report:?}"
     );
     assert_eq!(report.failed, 1);
+}
+
+/// Launches every pending task on node 0 and records the
+/// `(attempt_no, peak_mem_hint)` every round shows for each pending
+/// task.
+#[derive(Default)]
+struct HintProbe(Vec<(u32, ByteSize)>);
+
+impl Scheduler for HintProbe {
+    fn name(&self) -> &str {
+        "hint-probe"
+    }
+
+    fn executor_memory(&self, cluster: &ClusterSpec, node: NodeId) -> ByteSize {
+        cluster.node(node).mem
+    }
+
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        (self.0).extend(
+            input
+                .pending
+                .iter()
+                .map(|p| (p.attempt_no, p.peak_mem_hint)),
+        );
+        (input.pending.iter())
+            .map(|p| Command::Launch {
+                task: p.task,
+                node: NodeId(0),
+                use_gpu: false,
+                speculative: false,
+                reason: LaunchReason::FifoSlot,
+            })
+            .collect()
+    }
+}
+
+/// A task whose first attempt OOMs before any attempt finished is
+/// re-offered with the failed attempt's peak as its hint, as the engine
+/// does: the failure path records the peak, not only the win path.
+#[test]
+fn failed_attempt_feeds_the_peak_hint() {
+    let cluster = build_fleet(8);
+    let catalog = pressure_stream(1, 1);
+    let cfg = ServeConfig::default();
+    // the round at 2 ms launches attempt 0, which OOMs at 3 ms; the
+    // round at 4 ms relaunches the task as attempt 1, which completes
+    let log = vec![
+        worker(0, 0, WorkerReport::Register),
+        client(10, ClientRequest::Submit { job: JobId(0) }),
+        worker(
+            3_000,
+            0,
+            WorkerReport::Failed {
+                task: TASK,
+                attempt: 0,
+                reason: TaskFailure::Oom,
+            },
+        ),
+        worker(
+            8_000,
+            0,
+            WorkerReport::Completed {
+                task: TASK,
+                attempt: 1,
+            },
+        ),
+        client(9_000, ClientRequest::Drain),
+    ];
+    let mut probe = HintProbe::default();
+    let report = replay(&cluster, &catalog, &mut probe, &cfg, &log).expect("replay runs");
+    assert!(report.clean, "{report:?}");
+    let peak = catalog.app.stages[0].tasks[0].demand.peak_mem;
+    assert!(peak > ByteSize::ZERO);
+    assert_eq!(probe.0, vec![(0, ByteSize::ZERO), (1, peak)]);
+}
+
+/// A draining spot node that the failure detector declares dead is lost
+/// once: node loss cancels its preemption notice (as the engine's does),
+/// so the notice's deadline reclaims nothing. Spot node 7 is provisioned
+/// and served a notice at the first check (1 ms, 20 ms window), falls
+/// silent after registering, and is declared dead at 4 ms.
+#[test]
+fn node_loss_cancels_a_preemption_notice() {
+    let cluster = build_fleet(8);
+    let catalog = pressure_stream(1, 1);
+    let mut elastic = ElasticConfig::spot_tail(8, 1, SpotPolicy::Greedy);
+    elastic.check_secs = 1.0;
+    elastic.scale_up_backlog = 0.0;
+    elastic.scale_down_idle_secs = 1e5;
+    elastic.pools[0].preempt_base = 1.0;
+    elastic.pools[0].preempt_slope = 0.0;
+    elastic.pools[0].notice_secs = 20.0;
+    let mut cfg = ServeConfig {
+        tick: Duration::from_millis(1),
+        max_wall: Some(Duration::from_millis(30)),
+        ..ServeConfig::default()
+    };
+    cfg.sim.elastic = elastic;
+    cfg.sim.faults.suspect_after = SimDuration(2_000);
+    cfg.sim.faults.dead_after = SimDuration(4_000);
+    let mut log: Vec<(SimTime, ServeEvent)> = (0..8)
+        .map(|n| worker(0, n, WorkerReport::Register))
+        .collect();
+    log.push(client(10, ClientRequest::Submit { job: JobId(0) }));
+    for at in (500..30_000).step_by(500) {
+        for node in 0..7 {
+            log.push(worker(
+                at,
+                node,
+                WorkerReport::Heartbeat {
+                    net_util: 0.0,
+                    disk_util: 0.0,
+                },
+            ));
+        }
+    }
+    log.sort_by_key(|(at, _)| *at);
+    let mut stub = Stub::new(None);
+    let report = replay(&cluster, &catalog, &mut stub, &cfg, &log).expect("replay runs");
+    assert_eq!(report.provisions, 1, "{report:?}");
+    assert_eq!(report.preemptions, 0, "{report:?}");
 }
 
 /// An OOM on every attempt: serve and the engine both give up after
