@@ -123,7 +123,7 @@ impl<'a, H: ControlHost<'a>> OfferHost for H {
     fn pending_view(&self, task: TaskRef, prefs: &mut ShufflePrefs) -> Option<PendingTaskView> {
         let ctl = self.control();
         match *ctl.task(task) {
-            TaskState::Pending { attempt_no, .. } if ctl.released[task.stage.index()] => {
+            TaskState::Pending { attempt_no, .. } if ctl.released(task.stage) => {
                 Some(ctl.task_view(self, task, attempt_no, prefs))
             }
             _ => None,
@@ -137,8 +137,6 @@ pub struct ControlPlane<'a> {
     mem: &'a MemConfig,
     app: &'a Application,
     layout: &'a DataLayout,
-    /// Per stage: released to the scheduler yet?
-    pub(crate) released: Vec<bool>,
     /// Per stage, per task.
     pub(crate) tasks: Vec<Vec<TaskState>>,
     jobs: Vec<Job>,
@@ -181,7 +179,7 @@ impl<'a> ControlPlane<'a> {
             ),
             None => (
                 vec![job(TenantId(0), SimTime::ZERO)],
-                vec![0..app.jobs.len()],
+                std::iter::once(0..app.jobs.len()).collect::<Vec<_>>(),
                 vec![JobId(0); app.stages.len()],
             ),
         };
@@ -194,7 +192,6 @@ impl<'a> ControlPlane<'a> {
             mem: &config.mem,
             app,
             layout,
-            released: vec![false; app.stages.len()],
             tasks: (app.stages.iter())
                 .map(|s| vec![pending.clone(); s.num_tasks()])
                 .collect(),
@@ -223,8 +220,13 @@ impl<'a> ControlPlane<'a> {
         self.stage_jobs[stage.index()]
     }
 
+    /// Has `stage` been released to the scheduler?
+    pub(crate) fn released(&self, stage: StageId) -> bool {
+        self.tracker.is_released(stage)
+    }
+
     /// Has every stage of every job finished?
-    pub fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.tracker.all_done(self.app)
     }
 
@@ -264,13 +266,11 @@ impl<'a> ControlPlane<'a> {
         true
     }
 
-    /// `sid` became ready: its pending tasks join the offer state. A
-    /// stage re-blocked by lineage recompute can become ready a second
-    /// time; schedulers see `on_stage_ready` only once.
+    /// `sid` became ready: its pending tasks join the offer state. The
+    /// tracker surfaces each stage once ([`StageTracker::take_ready`]),
+    /// also when lineage recompute re-blocks it, so schedulers see
+    /// `on_stage_ready` once per stage.
     fn release_stage(&mut self, sid: StageId, io: &mut Io<'_>) {
-        if std::mem::replace(&mut self.released[sid.index()], true) {
-            return;
-        }
         for t in &mut self.tasks[sid.index()] {
             if let TaskState::Pending { since, .. } = t {
                 *since = io.ctx.at;

@@ -176,7 +176,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         {
             return;
         }
-        if !self.ctl.released[task.stage.index()] {
+        if !self.ctl.released(task.stage) {
             return;
         }
         let attempt_no = match self.ctl.task(task) {

@@ -1,10 +1,10 @@
 //! Fault injection, node loss, lineage recompute and the OOM machinery.
 //!
 //! Applies scripted chaos ([`rupam_faults::FaultScript`]) to the
-//! cluster, abandons executors on crashed/dead nodes, re-pends finished
-//! shuffle-map tasks whose outputs died with a node, and runs the
-//! probabilistic OOM model for overcommitted executors. All accounting
-//! flows through the bus: [`EngineEvent::FaultInjected`],
+//! cluster, abandons executors on crashed/dead nodes (the control plane
+//! re-pends finished shuffle-map tasks whose outputs died with a node),
+//! and runs the probabilistic OOM model for overcommitted executors.
+//! All accounting flows through the bus: [`EngineEvent::FaultInjected`],
 //! [`EngineEvent::TaskKilled`], [`EngineEvent::LineageRecompute`],
 //! [`EngineEvent::OomTaskKill`].
 

@@ -23,10 +23,10 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let cfg = &self.input.config.speculation;
         let mut flagged: Vec<TaskRef> = Vec::new();
         for (sidx, tasks) in self.ctl.tasks.iter().enumerate() {
-            if !self.ctl.released[sidx] {
+            let stage = &self.input.app.stages[sidx];
+            if !self.ctl.released(stage.id) {
                 continue;
             }
-            let stage = &self.input.app.stages[sidx];
             let mut running: Vec<(TaskRef, SimTime, bool)> = Vec::new();
             for (tidx, state) in tasks.iter().enumerate() {
                 if let TaskState::Running { attempts } = state {

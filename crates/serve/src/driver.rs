@@ -1,42 +1,36 @@
-//! The serve driver: the engine's offer loop re-hosted on a live
+//! The serve driver: the engine's control loop re-hosted on a live
 //! [`EventSource`].
 //!
-//! The driver owns the authoritative scheduling state (pending/running
-//! tasks, stage lineage, per-node memory, failure detector) exactly like
-//! the sim engine's `ClusterState`, but *time and execution* live
-//! elsewhere: task execution happens in worker agents, and "what fires
-//! next" comes from the event source — a [`WallClockSource`] in live
-//! mode, a [`Calendar`] in replay mode. Because every state transition
-//! is driven by a popped `(SimTime, ServeEvent)` and nothing else, the
-//! trace digest of a live run is a pure function of its input log: the
-//! replay harness re-runs this same driver over the logged events and
-//! must produce a byte-identical digest.
+//! Time and execution live outside the driver: task execution happens
+//! in worker agents, and "what fires next" comes from the event source —
+//! a [`WallClockSource`] in live mode, a [`Calendar`] in replay mode.
+//! Because every state transition is driven by a popped
+//! `(SimTime, ServeEvent)` and nothing else, the trace digest of a live
+//! run is a pure function of its input log: the replay harness re-runs
+//! this same driver over the logged events and must produce a
+//! byte-identical digest.
 //!
-//! The control rules both hosts run have one definition, shared with
-//! the sim engine:
+//! The control layer is the sim engine's own. The driver owns a
+//! [`ControlPlane`] and calls it for every task-level transition: job
+//! submission and stage release, a won attempt, a failed one (the retry
+//! limit and the task's peak-memory hint included), the lineage re-pend
+//! after node loss through the map-output ledger, the pending views and
+//! the offer state every round's input comes from. Both hosts publish
+//! [`EngineEvent`]s; the driver records their trace projection into its
+//! [`TraceBuffer`]. The capacity controller ([`rupam_elastic::Controller`])
+//! and the kill outcome ([`KillReason::outcome`]) are shared too.
 //!
-//! * the capacity controller ([`rupam_elastic::Controller`]): spot price
-//!   steps, idle tracking, per-pool scaling targets and price-correlated
-//!   preemption draws;
-//! * the map-output ledger ([`MapOutputLedger`]): where shuffle outputs
-//!   live, the 20 % reducer-preference rule, and the lineage-recompute
-//!   walk on node loss;
-//! * the retry limit ([`rupam_exec::config::MemConfig::retries_exhausted`]),
-//!   against which every failed attempt counts — node-loss requeues
-//!   included;
-//! * the kill outcome ([`KillReason::outcome`]) reported to the
-//!   scheduler for a `KillAndRequeue`;
-//! * the offer state ([`OfferState`]): persistent node views and pending
-//!   list, the per-stage shuffle-preference memo, and the `changed` and
-//!   `pending_fresh` deltas every offer round hands the scheduler. The
-//!   driver builds single views of its tables ([`OfferHost`]) and marks
-//!   what each event touches.
+//! What stays with the driver:
 //!
-//! What stays serve-specific is how those rules meet real time and real
-//! workers: wall-time scaling of sim-second tunables, firing preemption
-//! drains on ticks, worker registration as the join path (no
-//! provisioning latency), and the estimated task durations workers hold
-//! their slots for.
+//! * attempt storage and execution: per-node running attempts, numbered
+//!   by a run-wide launch counter, and the worker outbox with the
+//!   estimated durations workers hold their slots for;
+//! * node state and node views ([`ControlHost`]); serve workers hold no
+//!   executor cache, so no pending view has `process_nodes`;
+//! * feeding the failure detector from worker reports;
+//! * applying elastic actions on ticks, with sim-second tunables scaled
+//!   to wall time and worker registration as the join path (no
+//!   provisioning latency).
 //!
 //! [`WallClockSource`]: rupam_simcore::source::WallClockSource
 //! [`Calendar`]: rupam_simcore::Calendar
