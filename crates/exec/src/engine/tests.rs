@@ -760,3 +760,64 @@ fn same_instant_race_resolves_in_launch_order() {
     assert_eq!(original.outcome, AttemptOutcome::Success);
     assert_eq!(copy.outcome, AttemptOutcome::LostRace);
 }
+
+/// [`FifoScheduler`] that records the peak hint of every pending view
+/// past its task's first attempt.
+struct HintFifo(FifoScheduler, Vec<ByteSize>);
+
+impl Scheduler for HintFifo {
+    fn name(&self) -> &str {
+        "hint-fifo"
+    }
+    fn executor_memory(&self, c: &ClusterSpec, n: NodeId) -> ByteSize {
+        self.0.executor_memory(c, n)
+    }
+    fn on_app_start(&mut self, a: &rupam_dag::app::Application, c: &ClusterSpec) {
+        self.0.on_app_start(a, c);
+    }
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let retried = input.pending.iter().filter(|p| p.attempt_no > 0);
+        self.1.extend(retried.map(|p| p.peak_mem_hint));
+        self.0.offer_round(input)
+    }
+}
+
+#[test]
+fn crash_recovery_resolves_every_kill_and_keeps_peak_hints() {
+    // one crash, no restart, while the reducers run (the maps are done
+    // and node 0 holds their outputs): every attempt it kills and every
+    // map task whose output it takes owes a recovery, which the
+    // completed run resolves once each; every task offered again carries
+    // the peak its last attempt reached, whether that attempt was killed
+    // or had won
+    let cluster = ClusterSpec::homogeneous(4);
+    let (app, layout) = tiny_app(12, 8.0);
+    let cfg = SimConfig::with_faults(rupam_faults::FaultScript::one_node_crash(
+        NodeId(0),
+        7.5,
+        None,
+    ));
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 3,
+    };
+    let mut sched = HintFifo(FifoScheduler::new(), Vec::new());
+    let report = simulate(&input, &mut sched);
+    assert!(report.completed);
+    let f = &report.faults;
+    assert!(f.tasks_killed > 0 && f.map_outputs_recomputed > 0, "{f:?}");
+    assert_eq!(
+        f.recoveries,
+        f.tasks_killed + f.map_outputs_recomputed,
+        "{f:?}"
+    );
+    assert!(!sched.1.is_empty());
+    assert!(
+        sched.1.iter().all(|&h| h == ByteSize::mib(512)),
+        "{:?}",
+        sched.1
+    );
+}

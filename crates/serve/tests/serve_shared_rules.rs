@@ -2,9 +2,9 @@
 //! `KillReason → AttemptOutcome` map, the retry-exhaustion test,
 //! node-loss requeues counting against the retry limit, a failed
 //! attempt's peak feeding the task's hint, node loss cancelling a
-//! preemption notice, and the shared offer state's dirty marks: price
-//! steps refresh every provisioned spot node's view, and worker reports
-//! refresh idle nodes' views.
+//! preemption notice, a job being submitted once, and the shared offer
+//! state's dirty marks: price steps refresh every provisioned spot
+//! node's view, and worker reports refresh idle nodes' views.
 //!
 //! All but one test drive the serve driver through [`replay`] over a
 //! hand-written input log and a stub scheduler, so every decision is
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use rupam::{RupamConfig, RupamScheduler};
 use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
-use rupam_dag::app::JobId;
+use rupam_dag::app::{JobId, StageId};
 use rupam_dag::TaskRef;
 use rupam_elastic::{ElasticConfig, SpotPolicy};
 use rupam_exec::scheduler::{Command, KillReason, OfferInput, Scheduler};
@@ -229,7 +229,8 @@ impl Scheduler for HintProbe {
 
 /// A task whose first attempt OOMs before any attempt finished is
 /// re-offered with the failed attempt's peak as its hint, as the engine
-/// does: the failure path records the peak, not only the win path.
+/// does: the failure path records the peak, not only the win path. Its
+/// dispatch latencies run from its stage's release and from its re-pend.
 #[test]
 fn failed_attempt_feeds_the_peak_hint() {
     let cluster = build_fleet(8);
@@ -265,6 +266,12 @@ fn failed_attempt_feeds_the_peak_hint() {
     let peak = catalog.app.stages[0].tasks[0].demand.peak_mem;
     assert!(peak > ByteSize::ZERO);
     assert_eq!(probe.0, vec![(0, ByteSize::ZERO), (1, peak)]);
+    // released at 10 µs, launched at 2 ms; re-pended at 3 ms, launched
+    // at 4 ms: latencies 1,990 and 1,000 µs
+    assert_eq!(
+        (report.dispatch_p50_us, report.dispatch_p99_us),
+        (1_495, 1_980)
+    );
 }
 
 /// A draining spot node that the failure detector declares dead is lost
@@ -377,6 +384,48 @@ fn retry_limit_matches_the_engine() {
         out.report
     );
     assert_eq!(out.report.failed as usize, sim_failed);
+}
+
+/// Counts the job submissions the scheduler hears of; launches nothing.
+#[derive(Default)]
+struct SubmitProbe(Vec<JobId>);
+
+impl Scheduler for SubmitProbe {
+    fn name(&self) -> &str {
+        "submit-probe"
+    }
+
+    fn executor_memory(&self, cluster: &ClusterSpec, node: NodeId) -> ByteSize {
+        cluster.node(node).mem
+    }
+
+    fn on_job_submitted(&mut self, job: JobId, _stages: &[StageId], _now: SimTime) {
+        self.0.push(job);
+    }
+
+    fn offer_round(&mut self, _input: &OfferInput<'_>) -> Vec<Command> {
+        Vec::new()
+    }
+}
+
+/// A job is submitted once: a repeated submission (and one naming a job
+/// the catalog lacks) is ignored like a malformed RPC.
+#[test]
+fn repeated_submission_is_ignored() {
+    let cluster = build_fleet(8);
+    let catalog = pressure_stream(2, 1);
+    let cfg = ServeConfig::default();
+    let log = vec![
+        worker(0, 0, WorkerReport::Register),
+        client(10, ClientRequest::Submit { job: JobId(1) }),
+        client(20, ClientRequest::Submit { job: JobId(1) }),
+        client(30, ClientRequest::Submit { job: JobId(7) }),
+        client(40, ClientRequest::Drain),
+    ];
+    let mut probe = SubmitProbe::default();
+    let report = replay(&cluster, &catalog, &mut probe, &cfg, &log).expect("replay runs");
+    assert_eq!(probe.0, vec![JobId(1)]);
+    assert_eq!(report.jobs_submitted, 1);
 }
 
 /// Launches one task on `busy` once it is unblocked and nothing else,
