@@ -103,8 +103,7 @@ pub trait ControlHost<'a> {
     fn heartbeat_age(&self, node: NodeId) -> SimDuration;
     /// The nodes whose executor cache holds `key` as read by `stage`
     /// (`PROCESS_LOCAL`). Hosts without an executor cache hold none.
-    fn process_nodes(&self, stage: StageId, key: &CacheKey) -> Vec<NodeId> {
-        let _ = (stage, key);
+    fn process_nodes(&self, _stage: StageId, _key: &CacheKey) -> Vec<NodeId> {
         Vec::new()
     }
 }

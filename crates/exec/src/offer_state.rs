@@ -1,12 +1,14 @@
 //! The persistent offer state both hosts hand their scheduler.
 //!
-//! The sim engine and the live serve driver keep one [`OfferState`]
-//! each and produce every [`OfferInput`](crate::scheduler::OfferInput)'s
-//! `nodes`, `pending`, `changed` and `pending_fresh` through it. Nothing
-//! is rebuilt per round: event application marks what it touched
+//! The control plane both hosts own ([`crate::control::ControlPlane`])
+//! keeps one [`OfferState`] and produces every
+//! [`OfferInput`](crate::scheduler::OfferInput)'s `nodes`, `pending`,
+//! `changed` and `pending_fresh` through it. Nothing is rebuilt per
+//! round: event application marks what it touched
 //! ([`OfferState::node_dirty`], [`OfferState::task_dirty`],
 //! [`OfferState::stage_released`], [`OfferState::outputs_moved`]), and a
-//! round re-derives only that, through the host's [`OfferHost`] builders.
+//! round re-derives only that, through [`OfferHost`] builders: the
+//! host's node views and the control plane's pending views.
 //! The paper's RM keeps node state current the same way, from the deltas
 //! heartbeats carry.
 //!
