@@ -4,7 +4,10 @@
 //! attempt's peak feeding the task's hint, node loss cancelling a
 //! preemption notice, a job being submitted once, and the shared offer
 //! state's dirty marks: price steps refresh every provisioned spot
-//! node's view, and worker reports refresh idle nodes' views.
+//! node's view, and worker reports refresh idle nodes' views. One test
+//! pins the fleet paths — detector transitions and re-admission, the
+//! lineage re-pend, spot provisioning, idle scale-down and drain
+//! reclaims — to a single replay digest.
 //!
 //! All but one test drive the serve driver through [`replay`] over a
 //! hand-written input log and a stub scheduler, so every decision is
@@ -725,4 +728,156 @@ fn lost_map_output_and_detector_flags_reach_pending_views() {
         probe.node1,
         vec![(false, false), (true, false), (false, true)]
     );
+}
+
+/// Runs map task `i` on node `i` and a map re-run on node 2, holds the
+/// reducers until 14 ms and then runs them on node 0. Records, per
+/// round, node 1's `(suspect, dead)` flags and which spot nodes are
+/// unblocked, and every map re-run it launches.
+#[derive(Default)]
+struct FleetProbe {
+    node1: Vec<(bool, bool)>,
+    spot_open: Vec<Vec<NodeId>>,
+    reruns: Vec<(TaskRef, u32)>,
+}
+
+impl Scheduler for FleetProbe {
+    fn name(&self) -> &str {
+        "fleet-probe"
+    }
+
+    fn executor_memory(&self, cluster: &ClusterSpec, node: NodeId) -> ByteSize {
+        cluster.node(node).mem
+    }
+
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let v = &input.nodes[1];
+        self.node1.push((v.suspect, v.dead));
+        self.spot_open.push(
+            (input.nodes.iter())
+                .filter(|v| v.tier == NodeTier::Spot && !v.blocked)
+                .map(|v| v.node)
+                .collect(),
+        );
+        let mut commands = Vec::new();
+        for p in &input.pending {
+            let node = match (p.task.stage.index(), p.attempt_no) {
+                (0, 0) => p.task.index,
+                (0, _) => {
+                    self.reruns.push((p.task, p.attempt_no));
+                    2
+                }
+                _ if input.now >= SimTime(14_000) => 0,
+                _ => continue,
+            };
+            commands.push(Command::Launch {
+                task: p.task,
+                node: NodeId(node),
+                use_gpu: false,
+                speculative: false,
+                reason: LaunchReason::FifoSlot,
+            });
+        }
+        commands
+    }
+}
+
+/// Pins serve's fleet paths end to end with one digest: a worker turns
+/// suspect, is declared dead and is re-admitted when its heartbeats
+/// resume; its lost map output is re-pended through the lineage and
+/// re-runs to completion; a calm spot pool (node 6) is provisioned on
+/// backlog and decommissioned once idle; a hot pool (node 7, preempted
+/// at every check it is live) is served drain notices that ticks
+/// reclaim. Times are µs; one tick and one controller check per ms.
+#[test]
+fn fleet_paths_replay_to_a_pinned_digest() {
+    let cluster = build_fleet(8);
+    let catalog = map_reduce();
+    let mut elastic = ElasticConfig::spot_tail(8, 2, SpotPolicy::Greedy);
+    elastic.check_secs = 1.0;
+    elastic.scale_up_backlog = 0.0;
+    elastic.scale_down_idle_secs = 2.0;
+    let mut hot = elastic.pools[0].clone();
+    elastic.pools[0].nodes = vec![NodeId(6)];
+    elastic.pools[0].preempt_base = 0.0;
+    elastic.pools[0].preempt_slope = 0.0;
+    hot.name = "hot".into();
+    hot.nodes = vec![NodeId(7)];
+    hot.preempt_base = 1.0;
+    hot.preempt_slope = 0.0;
+    hot.notice_secs = 3.0;
+    elastic.pools.push(hot);
+    let mut cfg = ServeConfig {
+        tick: Duration::from_millis(1),
+        max_wall: Some(Duration::from_millis(30)),
+        ..ServeConfig::default()
+    };
+    cfg.sim.elastic = elastic;
+    cfg.sim.faults.suspect_after = SimDuration(2_000);
+    cfg.sim.faults.dead_after = SimDuration(4_000);
+
+    let done = |at, node, task: TaskRef, attempt| {
+        worker(at, node, WorkerReport::Completed { task, attempt })
+    };
+    let map = |index| TaskRef {
+        stage: StageId(0),
+        index,
+    };
+    let reduce = |index| TaskRef {
+        stage: StageId(1),
+        index,
+    };
+    let mut log: Vec<(SimTime, ServeEvent)> = (0..8)
+        .map(|n| worker(0, n, WorkerReport::Register))
+        .collect();
+    log.extend([
+        client(10, ClientRequest::Submit { job: JobId(0) }),
+        done(3_000, 0, map(0), 0),
+        done(3_500, 1, map(1), 0),
+        done(12_500, 2, map(1), 1),
+        done(20_000, 0, reduce(0), 0),
+        done(20_500, 0, reduce(1), 0),
+        client(21_000, ClientRequest::Drain),
+    ]);
+    // node 1 falls silent from 4 ms to 14 ms: suspect at the 6 ms tick,
+    // dead at the 8 ms one, re-admitted by its 14 ms heartbeat
+    for at in (500..25_000).step_by(500) {
+        for node in 0..8 {
+            if node != 1 || !(4_000..14_000).contains(&at) {
+                log.push(worker(
+                    at,
+                    node,
+                    WorkerReport::Heartbeat {
+                        net_util: 0.0,
+                        disk_util: 0.0,
+                    },
+                ));
+            }
+        }
+    }
+    log.sort_by_key(|(at, _)| *at);
+    let mut probe = FleetProbe::default();
+    let report = replay(&cluster, &catalog, &mut probe, &cfg, &log).expect("replay runs");
+    assert!(report.clean, "{report:?}");
+    assert_eq!(report.lost_tasks, 0);
+    assert_eq!(probe.reruns, vec![(map(1), 1)]);
+    probe.node1.dedup();
+    assert_eq!(
+        probe.node1,
+        vec![(false, false), (true, false), (false, true), (false, false)]
+    );
+    probe.spot_open.dedup();
+    // node 6 is decommissioned idle at 3 ms, while the maps run, and
+    // again once the reducers run; node 7 never opens
+    let six = vec![NodeId(6)];
+    assert_eq!(
+        probe.spot_open,
+        vec![vec![], six.clone(), vec![], six, vec![]]
+    );
+    assert_eq!(
+        (report.provisions, report.decommissions, report.preemptions),
+        (7, 2, 5),
+        "{report:?}"
+    );
+    assert_eq!(report.digest, 7_706_493_926_339_792_603, "{report:?}");
 }
