@@ -6,9 +6,7 @@
 use rupam::{AllocationPolicy, RupamConfig, TenantSpec};
 use rupam_bench::fairness::{build_skewed_stream, contended_cluster, policy_config, solo_means};
 use rupam_bench::multitenant::build_stream;
-use rupam_bench::{
-    run_stream_cfg, run_stream_observed_cfg, run_workload_observed_cfg, Sched,
-};
+use rupam_bench::{run_stream_cfg, run_stream_observed_cfg, run_workload_observed_cfg, Sched};
 use rupam_exec::{SimConfig, SimOptions};
 use rupam_metrics::record::AttemptOutcome;
 use rupam_metrics::trace::{LaunchReason, TraceEventKind};
@@ -149,7 +147,11 @@ fn quota_preemption_loses_no_tasks() {
         "a 0.25 quota against a 120-wide burst must preempt at least once"
     );
     // every preempted task also has a later successful attempt
-    for r in report.records.iter().filter(|r| r.outcome == AttemptOutcome::QuotaPreempted) {
+    for r in report
+        .records
+        .iter()
+        .filter(|r| r.outcome == AttemptOutcome::QuotaPreempted)
+    {
         assert!(
             report
                 .records
