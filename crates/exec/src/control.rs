@@ -1,21 +1,25 @@
-//! The control layer both hosts run: task, stage and job bookkeeping.
+//! The control layer both hosts run: task, stage and job bookkeeping,
+//! and the fleet.
 //!
 //! RUPAM's task manager, resource monitor and dispatcher sit in one
 //! driver control loop. Its bookkeeping is one [`ControlPlane`], owned
 //! by the sim engine and by the live serve driver alike: which tasks are
 //! pending, running or done, which stages are released, which jobs have
 //! arrived and finished, where map outputs live, each task's observed
-//! peak, the fault-recovery ledger and the persistent [`OfferState`].
-//! Every transition is defined once here — job submission and stage
-//! release, a won attempt, a failed one, the lineage re-pend after node
-//! loss, and the pending views an offer round hands the scheduler — and
-//! acts through [`Io`]: the host's clock, its scheduler and its
-//! [`EventSink`].
+//! peak, the fault-recovery ledger, the persistent [`OfferState`] and
+//! the [`Fleet`] (membership, health and capacity). Every transition is
+//! defined once here — job submission and stage release, a won attempt,
+//! a failed one, the lineage re-pend after node loss, and the pending
+//! views an offer round hands the scheduler — and acts through [`Io`]:
+//! the host's clock, its scheduler and its [`EventSink`]. The fleet
+//! rules ([`fleet`]: liveness beacons, the detector round, node loss,
+//! the capacity controller, drain notices and reclaims, and the fleet
+//! fields of every node view) act through the host itself.
 //!
 //! What stays with each host ([`ControlHost`]) is execution: storing and
-//! running attempts, node state and node views, the executor-cache tier
-//! (it feeds the pending views' `process_nodes`), feeding the failure
-//! detector, and applying elastic actions.
+//! running attempts, the host's part of each node view, the
+//! executor-cache tier (it feeds the pending views' `process_nodes`),
+//! and the hooks the fleet rules call.
 
 use std::collections::HashMap;
 
@@ -36,6 +40,9 @@ use crate::engine::{EngineEvent, EventCtx, EventSink};
 use crate::offer_state::{OfferHost, OfferState, ShufflePrefs};
 use crate::scheduler::{Command, NodeView, OfferInput, PendingTaskView, Scheduler};
 use crate::shuffle::MapOutputLedger;
+
+pub mod fleet;
+pub use fleet::Fleet;
 
 /// A host's id for one launched attempt, unique within a run.
 pub type AttemptId = usize;
@@ -91,32 +98,71 @@ impl Io<'_> {
     }
 }
 
-/// The node side a host lends the control plane's offer views.
+/// What a host lends the control plane: its clock, its part of the node
+/// views, and the hooks the fleet rules call where the hosts differ.
 pub trait ControlHost<'a> {
     /// The host's control plane.
     fn control(&self) -> &ControlPlane<'a>;
     /// The host's control plane, mutably.
     fn control_mut(&mut self) -> &mut ControlPlane<'a>;
-    /// A from-scratch view of `node`.
+    /// The control plane, and what its transitions act through: the
+    /// host's clock, offer round, scheduler and event sink.
+    fn io(&mut self) -> (&mut ControlPlane<'a>, Io<'_>);
+    /// The host's clock.
+    fn now(&self) -> SimTime;
+    /// The host's part of a from-scratch view of `node`: `blocked` says
+    /// whether the host holds the node back; the fleet fields (`dead`,
+    /// `suspect`, `tier`, `draining`, `preempt_risk`, `heartbeat_age`)
+    /// are the fleet's to fill.
     fn node_view(&self, node: NodeId) -> NodeView;
-    /// Time since `node`'s last heartbeat.
-    fn heartbeat_age(&self, node: NodeId) -> SimDuration;
     /// The nodes whose executor cache holds `key` as read by `stage`
     /// (`PROCESS_LOCAL`). Hosts without an executor cache hold none.
     fn process_nodes(&self, _stage: StageId, _key: &CacheKey) -> Vec<NodeId> {
         Vec::new()
     }
+    /// The attempts running on `node`, as `(id, task)`, oldest first.
+    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)>;
+    /// Attempt `id` dies with `node`: fail it as `NodeFaulted` through
+    /// [`ControlPlane::attempt_failed`].
+    fn kill_attempt(&mut self, node: NodeId, id: AttemptId);
+    /// Wipe what `node`'s loss takes with it on the host's side; its
+    /// attempts are already failed.
+    fn wipe(&mut self, node: NodeId);
+    /// Is `node` down? A down node is neither scaled nor preempted, and
+    /// its drain notice reclaims nothing. By default: declared dead.
+    fn down(&self, node: NodeId) -> bool {
+        self.control().fleet.is_dead(node)
+    }
+    /// `node` joined the fleet. By default it accepts work at once.
+    fn joined(&mut self, _node: NodeId) {}
+    /// A drain notice reclaims `node` at `deadline`: arm the host's
+    /// timer for [`ControlPlane::reclaim`]. By default none: the host
+    /// scans for due drains itself.
+    fn drain_armed(&mut self, _node: NodeId, _deadline: SimTime) {}
+    /// `secs` config (simulated) seconds as a host duration.
+    fn host_duration(&self, secs: f64) -> SimDuration {
+        SimDuration::from_secs_f64(secs)
+    }
+    /// `secs` config seconds in host seconds.
+    fn host_secs(&self, secs: f64) -> f64 {
+        secs
+    }
+    /// Something changed that may make work dispatchable: run an offer
+    /// round soon.
+    fn wake(&mut self);
 }
 
-/// A control host builds the offer views: its own node views, and its
-/// control plane's pending views.
+/// A control host builds the offer views: its node views with the
+/// fleet's fields, and its control plane's pending views.
 impl<'a, H: ControlHost<'a>> OfferHost for H {
     fn node_view(&self, node: NodeId) -> NodeView {
-        ControlHost::node_view(self, node)
+        let mut view = ControlHost::node_view(self, node);
+        self.control().fleet.overlay(&mut view, self.now());
+        view
     }
 
     fn heartbeat_age(&self, node: NodeId) -> SimDuration {
-        ControlHost::heartbeat_age(self, node)
+        self.control().fleet.heartbeat_age(node, self.now())
     }
 
     fn pending_view(&self, task: TaskRef, prefs: &mut ShufflePrefs) -> Option<PendingTaskView> {
@@ -130,7 +176,8 @@ impl<'a, H: ControlHost<'a>> OfferHost for H {
     }
 }
 
-/// The task, stage and job bookkeeping of one run, and its offer state.
+/// The task, stage and job bookkeeping of one run, its offer state and
+/// its fleet.
 pub struct ControlPlane<'a> {
     cluster: &'a ClusterSpec,
     mem: &'a MemConfig,
@@ -150,19 +197,21 @@ pub struct ControlPlane<'a> {
     /// that have not yet re-run to completion, with the kill time.
     kill_pending: HashMap<TaskRef, SimTime>,
     offers: OfferState,
+    fleet: Fleet<'a>,
 }
 
 impl<'a> ControlPlane<'a> {
     /// Bookkeeping for `app` on `cluster` under `config`'s retry limit:
     /// the jobs of `stream`, or without one a single job arriving at
-    /// t = 0. Nothing is submitted yet, and every task is pending as
-    /// attempt 0.
+    /// t = 0, run on `fleet`. Nothing is submitted yet, and every task
+    /// is pending as attempt 0.
     pub fn new(
         cluster: &'a ClusterSpec,
         config: &'a SimConfig,
         app: &'a Application,
         layout: &'a DataLayout,
         stream: Option<&MergedStream>,
+        fleet: Fleet<'a>,
     ) -> Self {
         let job = |tenant, arrival| Job {
             tenant,
@@ -201,6 +250,7 @@ impl<'a> ControlPlane<'a> {
             observed_peak: HashMap::new(),
             kill_pending: HashMap::new(),
             offers: OfferState::new(app, cluster.len()),
+            fleet,
         }
     }
 
@@ -356,14 +406,14 @@ impl<'a> ControlPlane<'a> {
 
     /// `task`'s attempt on `node` dies with the node: the task is owed a
     /// recovery. The host then fails the attempt.
-    pub fn task_killed(&mut self, task: TaskRef, node: NodeId, io: &mut Io<'_>) {
+    fn task_killed(&mut self, task: TaskRef, node: NodeId, io: &mut Io<'_>) {
         self.kill_pending.entry(task).or_insert(io.ctx.at);
         io.publish(EngineEvent::TaskKilled { task, node });
     }
 
     /// `node` is lost: walk the lineage and re-pend every finished map
     /// task whose output died with it ([`MapOutputLedger::lose_node`]).
-    pub fn outputs_lost(&mut self, node: NodeId, io: &mut Io<'_>) {
+    fn outputs_lost(&mut self, node: NodeId, io: &mut Io<'_>) {
         let lost = (self.ledger).lose_node(self.app, &mut self.tracker, node);
         for (stage, tasks) in lost {
             for &(index, attempt_no) in &tasks {

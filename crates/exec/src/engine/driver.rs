@@ -7,7 +7,8 @@
 //! `impl Engine` extensions that mutate that state and publish
 //! [`EngineEvent`]s. This file contains only time and physics: advancing
 //! the clock, recomputing contention rates, finding the next completion
-//! and dispatching calendar events.
+//! and dispatching calendar events (the capacity controller's checks
+//! run the control plane's [`ControlPlane::controller_check`]).
 
 use std::collections::HashMap;
 
@@ -18,7 +19,6 @@ use rupam_cluster::{NodeId, ResourceMonitor};
 use rupam_dag::app::JobId;
 use rupam_dag::task::CacheKey;
 use rupam_dag::TaskRef;
-use rupam_faults::FailureDetector;
 use rupam_metrics::record::TaskRecord;
 use rupam_simcore::calendar::Calendar;
 use rupam_simcore::source::EventSource;
@@ -27,10 +27,10 @@ use rupam_simcore::time::{SimDuration, SimTime};
 use crate::costmodel::PhaseResource;
 use crate::scheduler::Scheduler;
 
-use super::events::{EngineEvent, EventBus, EventCtx};
+use super::events::{EngineEvent, EventBus};
 use super::state::{AttemptId, ClusterState};
 use super::{EngineError, SimInput, WORK_EPS};
-use crate::control::{ControlPlane, Io};
+use crate::control::{ControlHost, ControlPlane};
 
 /// Calendar events the engine schedules for itself.
 #[derive(Clone, Copy, Debug)]
@@ -44,7 +44,7 @@ pub(crate) enum Event {
     SlowdownEnd { node: NodeId, epoch: u64 },
     FlakyCheck { node: NodeId, epoch: u64 },
     ElasticCheck,
-    PreemptFire { node: NodeId, epoch: u64 },
+    PreemptFire { node: NodeId },
 }
 
 /// The simulation engine: core loop, clock and physics. Policy lives in
@@ -59,8 +59,8 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     pub(crate) now: SimTime,
     /// The single authoritative cluster state.
     pub(crate) state: ClusterState,
-    /// Task, stage and job bookkeeping and the offer state, shared with
-    /// the serve driver.
+    /// Task, stage and job bookkeeping, the offer state and the fleet,
+    /// shared with the serve driver.
     pub(crate) ctl: ControlPlane<'a>,
     pub(crate) monitor: ResourceMonitor,
     pub(crate) records: Vec<TaskRecord>,
@@ -68,14 +68,6 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
     /// Fault-subsystem draws (flaky-OOM coin flips) come from their own
     /// stream so healthy-path draws from `rng_fail` are untouched.
     pub(crate) rng_faults: StdRng,
-    /// Capacity-controller runtime; `None` unless the run has spot pools
-    /// (strict no-op guarantee). Its draws (spot-price noise, preemption
-    /// coin flips) come from their own `engine/elastic` stream, so an
-    /// empty elasticity script leaves every other stream byte-identical.
-    pub(crate) elastic: Option<super::elastic::ElasticRt>,
-    /// The RM's heartbeat failure detector; `None` unless the run has a
-    /// non-empty chaos script (strict no-op guarantee).
-    pub(crate) detector: Option<FailureDetector>,
     pub(crate) oom_failures: usize,
     pub(crate) executor_losses: usize,
     pub(crate) speculative_launched: usize,
@@ -98,18 +90,7 @@ pub(crate) struct Engine<'a, 's, S: EventSource<Event> = Calendar<Event>> {
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Publish one event stamped with the current time and round.
     pub(crate) fn publish(&mut self, event: EngineEvent) {
-        self.control().1.publish(event);
-    }
-
-    /// The control plane, and what its transitions act through: the
-    /// engine's clock, offer round, scheduler and bus.
-    pub(crate) fn control(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
-        let ctx = EventCtx {
-            at: self.now,
-            round: self.round,
-        };
-        let (sched, sink) = (&mut *self.sched, &mut self.bus);
-        (&mut self.ctl, Io { ctx, sched, sink })
+        self.io().1.publish(event);
     }
 
     /// Run the simulation to completion (or graceful abort). The only
@@ -147,7 +128,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 .schedule(self.now + cfg.speculation.interval, Event::SpeculationCheck);
         }
         // arm the capacity controller (absent without spot pools)
-        if self.elastic.is_some() {
+        if self.ctl.fleet().scaling() {
             self.source.schedule(
                 self.now + SimDuration::from_secs_f64(cfg.elastic.check_secs),
                 Event::ElasticCheck,
@@ -378,8 +359,14 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 }
             }
             Event::FlakyCheck { node, epoch } => self.flaky_check(node, epoch),
-            Event::ElasticCheck => self.elastic_check(),
-            Event::PreemptFire { node, epoch } => self.preempt_fire(node, epoch),
+            Event::ElasticCheck => {
+                ControlPlane::controller_check(self);
+                if !self.ctl.all_done() && !self.aborted {
+                    let period = SimDuration::from_secs_f64(self.input.config.elastic.check_secs);
+                    self.source.schedule(self.now + period, Event::ElasticCheck);
+                }
+            }
+            Event::PreemptFire { node } => self.preempt_fire(node),
         }
     }
 }

@@ -1,14 +1,15 @@
-//! Heartbeat handling and the RM's failure detector.
+//! Heartbeat handling: the scheduler's hook, the detector's beacons and
+//! the livelock guard.
 //!
 //! The engine heartbeat drives three things: the scheduler's periodic
-//! hook, the failure detector's observe/evaluate round (when a chaos
-//! script armed it), and the livelock guard that aborts a run whose
-//! scheduler refuses every placement. Detector transitions are published
-//! as [`EngineEvent::NodeSuspect`]/[`EngineEvent::NodeDead`]/
-//! [`EngineEvent::NodeRecovered`] for statistics and tracing.
+//! hook, the failure detector (when a chaos script armed it) and the
+//! livelock guard that aborts a run whose scheduler refuses every
+//! placement. Which nodes beacon is the engine's physics — crashed and
+//! partitioned nodes stay silent; the detector's rules (re-admission,
+//! the suspect and dead thresholds, node loss) are the control plane's
+//! ([`ControlPlane::beacon`], [`ControlPlane::detector_round`]).
 
 use rupam_cluster::NodeId;
-use rupam_faults::NodeHealth;
 use rupam_metrics::trace::AbortCause;
 
 use rupam_simcore::source::EventSource;
@@ -22,8 +23,19 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// guard, and re-arming the next beat.
     pub(crate) fn on_heartbeat(&mut self) {
         self.sched.on_heartbeat(self.now);
-        if self.detector.is_some() {
-            self.detector_tick();
+        if self.ctl.fleet().watched() {
+            for i in 0..self.state.nodes.len() {
+                let (id, node) = (NodeId(i), &self.state.nodes[i]);
+                // deprovisioned spot nodes are out of the fleet: the RM
+                // does not expect heartbeats from them, so they are
+                // observed as healthy rather than aged towards dead
+                if !self.ctl.fleet().provisioned(id)
+                    || (!node.crashed && self.now >= node.hb_dropout_until)
+                {
+                    ControlPlane::beacon(self, id);
+                }
+            }
+            ControlPlane::detector_round(self);
         }
         self.need_offers = true;
         // livelock guard: pending work, nothing running, nothing
@@ -52,69 +64,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 self.now + self.input.config.engine.heartbeat,
                 Event::Heartbeat,
             );
-        }
-    }
-
-    /// One failure-detector round, driven off the engine heartbeat: feed
-    /// it heartbeats from nodes still emitting them, re-admit dead nodes
-    /// whose heartbeats resumed, then evaluate the timeout thresholds.
-    pub(crate) fn detector_tick(&mut self) {
-        let mut revived: Vec<NodeId> = Vec::new();
-        {
-            let det = self.detector.as_mut().expect("gated by caller");
-            for (i, node) in self.state.nodes.iter().enumerate() {
-                // deprovisioned spot nodes are out of the fleet: the RM
-                // does not expect heartbeats from them, so they are
-                // observed as healthy rather than aged towards dead
-                let heartbeating =
-                    !node.provisioned || (!node.crashed && self.now >= node.hb_dropout_until);
-                if !heartbeating {
-                    continue;
-                }
-                let id = NodeId(i);
-                if det.is_dead(id) {
-                    det.revive(id, self.now);
-                    revived.push(id);
-                } else {
-                    det.observe(id, self.now);
-                }
-            }
-        }
-        for id in revived {
-            self.publish(EngineEvent::NodeRecovered { node: id });
-            self.need_offers = true;
-        }
-        let transitions = self
-            .detector
-            .as_mut()
-            .expect("gated by caller")
-            .evaluate(self.now);
-        for t in transitions {
-            // every transition flips the node's suspect or dead flag
-            self.ctl.offers().node_dirty(t.node);
-            match t.to {
-                NodeHealth::Suspect => {
-                    self.publish(EngineEvent::NodeSuspect {
-                        node: t.node,
-                        age: t.age,
-                    });
-                }
-                NodeHealth::Dead => {
-                    self.publish(EngineEvent::NodeDead {
-                        node: t.node,
-                        age: t.age,
-                    });
-                    // the driver abandons the node's executor: whether
-                    // the node is physically down (crash) or merely
-                    // partitioned (dropout), its tasks, cache and map
-                    // outputs are gone from the cluster's point of view
-                    self.node_lost(t.node);
-                }
-                NodeHealth::Alive => {
-                    // a suspect's heartbeats caught up before the dead
-                    // threshold — it never left the rankings
-                }
-            }
         }
     }
 }

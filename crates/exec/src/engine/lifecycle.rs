@@ -29,12 +29,12 @@ use rupam_simcore::source::EventSource;
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
 use super::state::{AttemptId, AttemptRt};
-use crate::control::TaskState;
+use crate::control::{ControlHost, TaskState};
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// A stream job arrives: the control plane submits it.
     pub(crate) fn submit_job(&mut self, job: JobId) {
-        let (ctl, mut io) = self.control();
+        let (ctl, mut io) = self.io();
         ctl.submit_job(job, &mut io);
         self.need_offers = true;
     }
@@ -76,7 +76,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
             self.state.spec_set.remove(&task);
         }
-        let (ctl, mut io) = self.control();
+        let (ctl, mut io) = self.io();
         ctl.attempt_finished(&record, &mut io);
         self.records.push(record);
         self.need_offers = true;
@@ -115,7 +115,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     pub(crate) fn fail_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
         self.state.detach_attempt(id);
         let record = self.make_record(id, outcome);
-        let (ctl, mut io) = self.control();
+        let (ctl, mut io) = self.io();
         self.aborted |= ctl.attempt_failed(id, &record, &mut io);
         self.records.push(record);
         self.need_offers = true;
@@ -169,10 +169,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // declared dead — are dropped on the floor like a lost RPC;
         // same for nodes outside the elastic fleet or draining towards
         // a preemption deadline
+        let fleet = self.ctl.fleet();
         if self.state.nodes[node_id.index()].crashed
-            || !self.state.nodes[node_id.index()].provisioned
-            || self.state.nodes[node_id.index()].drain_deadline.is_some()
-            || self.detector.as_ref().is_some_and(|d| d.is_dead(node_id))
+            || !fleet.provisioned(node_id)
+            || fleet.draining(node_id)
+            || fleet.is_dead(node_id)
         {
             return;
         }

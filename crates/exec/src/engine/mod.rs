@@ -35,7 +35,6 @@
 
 mod caching;
 mod driver;
-mod elastic;
 pub mod emit;
 pub mod events;
 mod heartbeat;
@@ -54,7 +53,6 @@ use rupam_cluster::{ClusterSpec, NodeId, ResourceMonitor};
 use rupam_dag::app::{Application, JobId};
 use rupam_dag::data::DataLayout;
 use rupam_dag::stream::MergedStream;
-use rupam_faults::FailureDetector;
 use rupam_metrics::report::{JobOutcome, RunReport};
 use rupam_metrics::trace::{AbortCause, TraceBuffer, DEFAULT_TRACE_CAPACITY};
 use rupam_simcore::calendar::Calendar;
@@ -65,7 +63,7 @@ use rupam_simcore::units::ByteSize;
 use crate::audit::{AuditConfig, Violation};
 use crate::cache::ExecutorCache;
 use crate::config::SimConfig;
-use crate::control::ControlPlane;
+use crate::control::{ControlPlane, Fleet};
 use crate::scheduler::Scheduler;
 use crate::speculation::SpeculationSet;
 
@@ -249,8 +247,8 @@ pub fn simulate_stream_observed_with(
     run_sim(&sim_input, Some(input.stream), scheduler, opts, subscribers)
 }
 
-/// Build a ready-to-run [`Engine`] from the inputs: runtime state,
-/// stream bookkeeping, RNG streams and the detector. Split from
+/// Build a ready-to-run [`Engine`] from the inputs: runtime state, the
+/// control plane with its fleet, and the RNG streams. Split from
 /// [`run_sim`] so engine unit tests can drive the loop directly.
 pub(crate) fn assemble<'a, 's>(
     input: &'a SimInput<'a>,
@@ -288,12 +286,6 @@ pub(crate) fn assemble<'a, 's>(
                 hb_dropout_until: SimTime::ZERO,
                 flaky_until: SimTime::ZERO,
                 flaky_prob: 0.0,
-                // spot-pool nodes join the fleet only when the
-                // controller provisions them; everything else is the
-                // always-on on-demand fleet
-                provisioned: cfg.elastic.tier(id) == rupam_cluster::NodeTier::OnDemand,
-                drain_deadline: None,
-                elastic_epoch: 0,
             }
         })
         .collect();
@@ -309,17 +301,26 @@ pub(crate) fn assemble<'a, 's>(
             finished_secs: vec![Vec::new(); input.app.stages.len()],
             spec_set: SpeculationSet::new(),
         },
-        ctl: ControlPlane::new(cluster, cfg, input.app, input.layout, stream),
+        // the detector is armed only by a chaos script, and the capacity
+        // controller's draws come from their own `engine/elastic` stream,
+        // so an empty script leaves every other stream byte-identical
+        ctl: ControlPlane::new(
+            cluster,
+            cfg,
+            input.app,
+            input.layout,
+            stream,
+            Fleet::new(
+                cluster,
+                cfg,
+                !cfg.faults.script.is_empty(),
+                RngFactory::new(input.seed).stream("engine/elastic"),
+            ),
+        ),
         monitor: ResourceMonitor::new(cluster),
         records: Vec::new(),
         rng_fail: RngFactory::new(input.seed).stream("engine/failures"),
         rng_faults: RngFactory::new(input.seed).stream("engine/faults"),
-        detector: (!cfg.faults.script.is_empty())
-            .then(|| FailureDetector::new(cluster.len(), &cfg.faults, SimTime::ZERO)),
-        elastic: (!cfg.elastic.is_empty()).then(|| {
-            let rng = RngFactory::new(input.seed).stream("engine/elastic");
-            elastic::ElasticRt::new(&cfg.elastic, cluster, rng)
-        }),
         oom_failures: 0,
         executor_losses: 0,
         speculative_launched: 0,
@@ -397,7 +398,7 @@ fn run_sim(
         })
         .collect();
     let faults = sim.bus.take_faults().unwrap_or_default();
-    let cost = sim.elastic_settle();
+    let cost = sim.ctl.cost_to(sim.now);
     let report = RunReport {
         app_name: input.app.name.clone(),
         scheduler_name: sim.sched.name().to_string(),

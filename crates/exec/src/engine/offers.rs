@@ -1,10 +1,13 @@
-//! The offer protocol: view construction and the offer round.
+//! The offer protocol: the engine as a control host, and the offer round.
 //!
 //! The engine's [`ControlPlane`] keeps the node views and pending list in
 //! its persistent offer state, marked dirty by the control plane's own
-//! transitions and by the engine's caching, detector and elastic
-//! handlers; the engine lends it node views and executor-cache
-//! placements ([`ControlHost`]). Each round the control plane re-derives
+//! transitions (the fleet rules included) and by the engine's lifecycle
+//! and caching handlers. The engine lends it the execution side of each
+//! node view, executor-cache placements and the fleet rules' hooks
+//! ([`ControlHost`]): failing a lost node's attempts, wiping its
+//! executor, `crashed` as down, the provisioning-latency gate, and
+//! [`Event::PreemptFire`] as the drain timer. Each round the control plane re-derives
 //! what was touched into an [`OfferInput`](crate::scheduler::OfferInput),
 //! the engine adds the speculatable tasks, hands it to the scheduler and
 //! applies the returned commands. The round summary is published as
@@ -13,13 +16,15 @@
 //! the scheduler saw.
 
 use rupam_cluster::monitor::NodeMetrics;
-use rupam_cluster::NodeId;
+use rupam_cluster::{NodeId, NodeTier};
 use rupam_dag::app::StageId;
 use rupam_dag::task::CacheKey;
-use rupam_faults::NodeHealth;
-use rupam_simcore::time::SimDuration;
+use rupam_dag::TaskRef;
+use rupam_metrics::record::AttemptOutcome;
+use rupam_simcore::time::{SimDuration, SimTime};
+use rupam_simcore::units::ByteSize;
 
-use crate::control::{ControlHost, ControlPlane, TaskState};
+use crate::control::{AttemptId, ControlHost, ControlPlane, Io, TaskState};
 use crate::costmodel::PhaseResource;
 use crate::offer_state::ShufflePrefs;
 use crate::scheduler::{NodeView, RunningTaskView};
@@ -27,7 +32,7 @@ use crate::scheduler::{NodeView, RunningTaskView};
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
-use super::events::EngineEvent;
+use super::events::{EngineEvent, EventCtx};
 
 impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
     fn control(&self) -> &ControlPlane<'a> {
@@ -38,13 +43,24 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
         &mut self.ctl
     }
 
+    fn io(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
+        let ctx = EventCtx {
+            at: self.now,
+            round: self.round,
+        };
+        let (sched, sink) = (&mut *self.sched, &mut self.bus);
+        (&mut self.ctl, Io { ctx, sched, sink })
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Blocked while the executor restarts or a provisioned node waits
+    /// out its provisioning latency.
     fn node_view(&self, node: NodeId) -> NodeView {
         let rt = &self.state.nodes[node.index()];
         let m = self.node_metrics(node.index());
-        let (dead, suspect) = match &self.detector {
-            Some(d) => (d.is_dead(node), d.health(node) == NodeHealth::Suspect),
-            None => (false, false),
-        };
         let running = (rt.running.iter())
             .map(|&aid| {
                 let a = &self.state.attempts[aid];
@@ -57,12 +73,6 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
                 }
             })
             .collect();
-        let (tier, preempt_risk) = match &self.elastic {
-            Some(el) if rt.provisioned => (el.ctl.tier_of(node), el.ctl.risk_of(node)),
-            Some(el) => (el.ctl.tier_of(node), 0.0),
-            None => (rupam_cluster::NodeTier::OnDemand, 0.0),
-        };
-        let draining = rt.drain_deadline.is_some();
         NodeView {
             node,
             executor_mem: rt.executor_mem,
@@ -73,20 +83,14 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
             net_util: m.net_util,
             disk_util: m.disk_util,
             gpus_idle: m.gpus_idle,
-            blocked: rt.blocked_until > self.now || dead || !rt.provisioned || draining,
-            heartbeat_age: self.heartbeat_age(node),
-            dead,
-            suspect,
-            tier,
-            draining,
-            preempt_risk,
+            blocked: rt.blocked_until > self.now,
+            heartbeat_age: SimDuration::ZERO,
+            dead: false,
+            suspect: false,
+            tier: NodeTier::OnDemand,
+            draining: false,
+            preempt_risk: 0.0,
         }
-    }
-
-    fn heartbeat_age(&self, node: NodeId) -> SimDuration {
-        self.detector
-            .as_ref()
-            .map_or(SimDuration::ZERO, |d| d.age(node, self.now))
     }
 
     fn process_nodes(&self, stage: StageId, key: &CacheKey) -> Vec<NodeId> {
@@ -95,6 +99,50 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
             .map(NodeId)
             .filter(|n| self.state.nodes[n.index()].cache.contains(&scoped))
             .collect()
+    }
+
+    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)> {
+        (self.state.nodes[node.index()].running.iter())
+            .map(|&id| (id, self.state.attempts[id].task))
+            .collect()
+    }
+
+    fn kill_attempt(&mut self, _node: NodeId, id: AttemptId) {
+        self.fail_attempt(id, AttemptOutcome::NodeFaulted);
+    }
+
+    /// The executor's cache, heap and pending OOM checks go, and a
+    /// scripted slowdown ends. Cached partitions need no lineage action:
+    /// every cached read carries an HDFS fallback.
+    fn wipe(&mut self, node: NodeId) {
+        let rt = &mut self.state.nodes[node.index()];
+        let wiped = rt.cache.clear();
+        rt.mem_in_use = ByteSize::ZERO;
+        rt.oom_epoch += 1;
+        rt.oom_scheduled = false;
+        rt.slow_factor = 1.0;
+        self.cache_changed(&wiped);
+    }
+
+    /// Physically crashed.
+    fn down(&self, node: NodeId) -> bool {
+        self.state.nodes[node.index()].crashed
+    }
+
+    /// Provisioning latency: the node joins the fleet now (and starts
+    /// billing) but accepts work only later.
+    fn joined(&mut self, node: NodeId) {
+        let latency = SimDuration::from_secs_f64(self.input.config.elastic.provision_secs);
+        let rt = &mut self.state.nodes[node.index()];
+        rt.blocked_until = rt.blocked_until.max(self.now + latency);
+    }
+
+    fn drain_armed(&mut self, node: NodeId, deadline: SimTime) {
+        self.source.schedule(deadline, Event::PreemptFire { node });
+    }
+
+    fn wake(&mut self) {
+        self.need_offers = true;
     }
 }
 

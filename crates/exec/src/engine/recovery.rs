@@ -1,11 +1,12 @@
-//! Fault injection, node loss, lineage recompute and the OOM machinery.
+//! Fault injection, drain reclaims and the OOM machinery.
 //!
 //! Applies scripted chaos ([`rupam_faults::FaultScript`]) to the
-//! cluster, abandons executors on crashed/dead nodes (the control plane
-//! re-pends finished shuffle-map tasks whose outputs died with a node),
-//! and runs the probabilistic OOM model for overcommitted executors.
-//! All accounting flows through the bus: [`EngineEvent::FaultInjected`],
-//! [`EngineEvent::TaskKilled`], [`EngineEvent::LineageRecompute`],
+//! cluster and runs the probabilistic OOM model for overcommitted
+//! executors. Node loss, drain notices and their reclaim are the control
+//! plane's fleet rules ([`ControlPlane::node_lost`],
+//! [`ControlPlane::drain_notice`], [`ControlPlane::reclaim`]); the engine
+//! times a notice with an [`Event::PreemptFire`] at its deadline. All
+//! accounting flows through the bus: [`EngineEvent::FaultInjected`],
 //! [`EngineEvent::OomTaskKill`].
 
 use rand::Rng;
@@ -14,13 +15,12 @@ use rupam_cluster::NodeId;
 use rupam_faults::FaultKind;
 use rupam_metrics::record::AttemptOutcome;
 use rupam_simcore::time::{SimDuration, SimTime};
-use rupam_simcore::units::ByteSize;
 
 use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::AttemptId;
+use crate::control::ControlPlane;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Apply the `index`-th scripted fault to its target node.
@@ -43,7 +43,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         match spec.kind {
             FaultKind::Crash => {
                 self.state.nodes[node_id.index()].crashed = true;
-                self.node_lost(node_id);
+                ControlPlane::node_lost(self, node_id);
             }
             FaultKind::Restart => {
                 let node = &mut self.state.nodes[node_id.index()];
@@ -88,101 +88,19 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 );
             }
             FaultKind::Preempt { notice_secs } => {
-                self.begin_preemption(node_id, notice_secs);
+                ControlPlane::drain_notice(self, node_id, notice_secs);
             }
         }
     }
 
-    /// Serve a preemption notice on a node: it drains (no new work) for
-    /// the notice window, then [`Engine::preempt_fire`] reclaims it
-    /// through the node-loss path. Used by scripted `preempt` faults and
-    /// the elastic controller's price-correlated draws alike.
-    pub(crate) fn begin_preemption(&mut self, node_id: NodeId, notice_secs: f64) {
-        let notice = SimDuration::from_secs_f64(notice_secs.max(0.0));
-        self.publish(EngineEvent::PreemptionNotice {
-            node: node_id,
-            notice,
-        });
-        let node = &mut self.state.nodes[node_id.index()];
-        node.drain_deadline = Some(self.now + notice);
-        node.elastic_epoch += 1;
-        let epoch = node.elastic_epoch;
-        self.ctl.offers().node_dirty(node_id);
-        self.source.schedule(
-            self.now + notice,
-            Event::PreemptFire {
-                node: node_id,
-                epoch,
-            },
-        );
-        // draining blocks new launches; tell the scheduler now rather
-        // than at the next heartbeat
-        self.need_offers = true;
-    }
-
-    /// The drain window of a preemption notice expired: reclaim the
-    /// node. Spot nodes leave the fleet (the controller may re-provision
-    /// the slot later); a scripted preemption on an on-demand node
-    /// behaves like a crash-with-notice (a `restart` fault revives it).
-    pub(crate) fn preempt_fire(&mut self, node_id: NodeId, epoch: u64) {
-        {
-            let node = &self.state.nodes[node_id.index()];
-            if node.elastic_epoch != epoch || node.drain_deadline.is_none() || node.crashed {
-                return; // stale: the node was lost or revived meanwhile
-            }
+    /// A drain notice's deadline came: the control plane reclaims the
+    /// node if the notice still stands. A spot node leaves the fleet; a
+    /// scripted preemption of an on-demand node behaves like a
+    /// crash-with-notice (a `restart` fault revives it).
+    pub(crate) fn preempt_fire(&mut self, node: NodeId) {
+        if ControlPlane::reclaim(self, node) && self.ctl.fleet().provisioned(node) {
+            self.state.nodes[node.index()].crashed = true;
         }
-        let spot = !self.input.config.elastic.is_empty()
-            && self.input.config.elastic.pool_of(node_id).is_some();
-        // bill the partial interval before the node leaves the fleet
-        if let Some(el) = self.elastic.as_mut() {
-            el.accrue(&self.state.nodes, &self.input.config.elastic, self.now);
-        }
-        {
-            let node = &mut self.state.nodes[node_id.index()];
-            node.drain_deadline = None;
-            if spot {
-                node.provisioned = false;
-            } else {
-                node.crashed = true;
-            }
-        }
-        if spot {
-            if let Some(el) = self.elastic.as_mut() {
-                el.cost.preemptions += 1;
-            }
-        }
-        self.node_lost(node_id);
-    }
-
-    /// A node's executor state is gone — it physically crashed, or the
-    /// failure detector declared it dead and the driver abandoned it.
-    /// Kill its running attempts, wipe the executor, and re-pend every
-    /// completed map task whose output lived there (lineage recompute,
-    /// [`crate::shuffle::MapOutputLedger::lose_node`]).
-    pub(crate) fn node_lost(&mut self, node_id: NodeId) {
-        let victims: Vec<AttemptId> = self.state.nodes[node_id.index()].running.clone();
-        for id in victims {
-            let task = self.state.attempts[id].task;
-            let (ctl, mut io) = self.control();
-            ctl.task_killed(task, node_id, &mut io);
-            self.fail_attempt(id, AttemptOutcome::NodeFaulted);
-        }
-        let node = &mut self.state.nodes[node_id.index()];
-        let wiped = node.cache.clear();
-        node.mem_in_use = ByteSize::ZERO;
-        node.oom_epoch += 1;
-        node.oom_scheduled = false;
-        node.slow_factor = 1.0;
-        // cancel any in-flight preemption notice: the node is already
-        // gone, and a later re-provision must not inherit a stale fire
-        node.drain_deadline = None;
-        node.elastic_epoch += 1;
-        self.cache_changed(&wiped);
-        // walk the lineage. Cached partitions need no lineage action: the
-        // cache was wiped and every cached read carries an HDFS fallback
-        let (ctl, mut io) = self.control();
-        ctl.outputs_lost(node_id, &mut io);
-        self.need_offers = true;
     }
 
     /// One probe of a flaky-OOM window: with probability `flaky_prob`

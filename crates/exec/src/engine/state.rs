@@ -2,10 +2,11 @@
 //!
 //! [`ClusterState`] owns what the engine knows about the simulated
 //! cluster's execution at an instant: task attempts and their phases,
-//! per-node executor state (memory, cache, faults, fleet membership),
-//! the winners' durations and the speculation set. Task, stage and job
-//! bookkeeping is the [`crate::control::ControlPlane`] the engine shares
-//! with the serve driver. The core loop ([`super::driver`]) owns exactly
+//! per-node executor state (memory, cache, physical faults), the
+//! winners' durations and the speculation set. Task, stage and job
+//! bookkeeping and fleet membership and health are the
+//! [`crate::control::ControlPlane`] the engine shares with the serve
+//! driver. The core loop ([`super::driver`]) owns exactly
 //! one `ClusterState`; the subsystem modules mutate it, and everything
 //! else observes through the [`super::events::EventBus`]. Nothing in
 //! here emits events or makes policy decisions — it is pure state plus a
@@ -78,17 +79,6 @@ pub(crate) struct NodeRt {
     pub(crate) flaky_until: SimTime,
     /// Per-check kill probability inside the flaky-OOM window.
     pub(crate) flaky_prob: f64,
-    // ---- elastic-subsystem state (inert without spot pools) ----
-    /// Part of the active fleet. On-demand nodes are always provisioned;
-    /// spot-pool nodes start deprovisioned and churn under the capacity
-    /// controller. A deprovisioned node is blocked to the scheduler.
-    pub(crate) provisioned: bool,
-    /// A preemption notice is in flight: the node reclaims at this
-    /// instant. Draining nodes accept no new work.
-    pub(crate) drain_deadline: Option<SimTime>,
-    /// Guards stale [`super::driver::Event::PreemptFire`] events across
-    /// deprovision/re-provision cycles.
-    pub(crate) elastic_epoch: u64,
 }
 
 /// The one authoritative snapshot of cluster reality, owned by the core

@@ -13,9 +13,11 @@ use rupam_simcore::units::ByteSize;
 use rupam_simcore::RngFactory;
 
 use crate::config::SimConfig;
+use crate::control::ControlPlane;
 use crate::scheduler::{Command, OfferInput, Scheduler};
 use crate::testutil::{FifoScheduler, GpuFifo, SpecFifo};
 
+use super::driver::Event;
 use super::{assemble, simulate, simulate_stream, EngineError, EventBus, SimInput, StreamInput};
 
 fn tiny_app(tasks_per_stage: usize, compute: f64) -> (rupam_dag::app::Application, DataLayout) {
@@ -820,4 +822,47 @@ fn crash_recovery_resolves_every_kill_and_keeps_peak_hints() {
         "{:?}",
         sched.1
     );
+}
+
+/// A drain notice cancelled by node loss does not reclaim the node when
+/// its old deadline comes; a notice reissued after the node came back
+/// reclaims it once, at the new deadline. Node 1 is noticed at 1 s (2 s
+/// window), crashes at 2 s and restarts at 2.5 s, and is noticed again
+/// (4 s window): the stale timer pops at 3 s, the live one at 6.5 s.
+#[test]
+fn a_reissued_drain_notice_reclaims_once_at_its_own_deadline() {
+    let cluster = ClusterSpec::homogeneous(2);
+    let (app, layout) = tiny_app(2, 4.0);
+    let cfg = SimConfig::default();
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 5,
+    };
+    let mut sched = RefuseAll;
+    let mut sim = assemble(&input, None, &mut sched, EventBus::new());
+    let node = NodeId(1);
+    sim.now = SimTime::from_secs_f64(1.0);
+    ControlPlane::drain_notice(&mut sim, node, 2.0);
+    sim.now = SimTime::from_secs_f64(2.0);
+    sim.state.nodes[1].crashed = true;
+    ControlPlane::node_lost(&mut sim, node);
+    sim.now = SimTime::from_secs_f64(2.5);
+    sim.state.nodes[1].crashed = false;
+    ControlPlane::drain_notice(&mut sim, node, 4.0);
+    let mut reclaimed = Vec::new();
+    while let Some((at, ev)) = sim.source.pop() {
+        sim.now = at;
+        if let Event::PreemptFire { node } = ev {
+            sim.preempt_fire(node);
+            // an on-demand node's reclaim leaves it crashed
+            if std::mem::take(&mut sim.state.nodes[1].crashed) {
+                reclaimed.push(at);
+            }
+        }
+    }
+    assert_eq!(reclaimed, vec![SimTime::from_secs_f64(6.5)]);
+    assert!(!sim.ctl.fleet().draining(node));
 }

@@ -23,10 +23,9 @@
 //! In debug builds every round checks the persistent views and pending
 //! list against a from-scratch build.
 
-use rupam_cluster::{NodeId, NodeTier};
+use rupam_cluster::NodeId;
 use rupam_dag::app::{Application, StageId};
 use rupam_dag::TaskRef;
-use rupam_elastic::{Controller, FleetNode};
 use rupam_simcore::time::SimDuration;
 
 use crate::scheduler::{Command, NodeView, PendingTaskView};
@@ -162,16 +161,6 @@ impl OfferState {
         for &child in &self.children[stage.index()] {
             self.prefs.forget(child);
             self.stale.push(child);
-        }
-    }
-
-    /// A controller check stepped the spot prices: every provisioned
-    /// spot node's `preempt_risk` moved. `fleet` is the check's input.
-    pub fn prices_stepped(&mut self, ctl: &Controller, fleet: &[FleetNode]) {
-        for (i, n) in fleet.iter().enumerate() {
-            if n.provisioned && ctl.tier_of(NodeId(i)) == NodeTier::Spot {
-                self.dirty[i] = true;
-            }
         }
     }
 
@@ -332,6 +321,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use rupam_cluster::NodeTier;
     use rupam_dag::app::{AppBuilder, JobId, StageKind};
     use rupam_dag::task::{InputSource, TaskDemand, TaskTemplate};
     use rupam_metrics::trace::LaunchReason;

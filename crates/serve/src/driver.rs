@@ -15,22 +15,27 @@
 //! submission and stage release, a won attempt, a failed one (the retry
 //! limit and the task's peak-memory hint included), the lineage re-pend
 //! after node loss through the map-output ledger, the pending views and
-//! the offer state every round's input comes from. Both hosts publish
-//! [`EngineEvent`]s; the driver records their trace projection into its
-//! [`TraceBuffer`]. The capacity controller ([`rupam_elastic::Controller`])
-//! and the kill outcome ([`KillReason::outcome`]) are shared too.
+//! the offer state every round's input comes from. The fleet is the
+//! control plane's too: worker beacons feed its failure detector, ticks
+//! run its detector round and capacity-controller check, and node loss,
+//! drain notices and their reclaim, and the fleet fields of each node
+//! view are its rules. Both hosts publish [`EngineEvent`]s; the driver
+//! records their trace projection into its [`TraceBuffer`]. The kill
+//! outcome ([`KillReason::outcome`]) is shared too.
 //!
 //! What stays with the driver:
 //!
 //! * attempt storage and execution: per-node running attempts, numbered
 //!   by a run-wide launch counter, and the worker outbox with the
 //!   estimated durations workers hold their slots for;
-//! * node state and node views ([`ControlHost`]); serve workers hold no
-//!   executor cache, so no pending view has `process_nodes`;
-//! * feeding the failure detector from worker reports;
-//! * applying elastic actions on ticks, with sim-second tunables scaled
-//!   to wall time and worker registration as the join path (no
-//!   provisioning latency).
+//! * the host's part of each node view ([`ControlHost`]): registration,
+//!   memory, slots and the NIC/disk utilisation workers report; serve
+//!   workers hold no executor cache, so no pending view has
+//!   `process_nodes`;
+//! * the fleet rules' hooks: a lost node's attempts fail and its
+//!   utilisation resets, detector-dead is down, registration is the join
+//!   path (no provisioning latency), ticks scan for due drains, and
+//!   sim-second tunables scale to wall time.
 //!
 //! [`WallClockSource`]: rupam_simcore::source::WallClockSource
 //! [`Calendar`]: rupam_simcore::Calendar
@@ -42,14 +47,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
 use rupam_dag::{MergedStream, TaskRef};
-use rupam_elastic::{Controller, FleetNode, ScalingAction};
 use rupam_exec::config::SimConfig;
-use rupam_exec::control::{AttemptId, ControlHost, ControlPlane, Io, TaskState};
+use rupam_exec::control::{AttemptId, ControlHost, ControlPlane, Fleet, Io, TaskState};
 use rupam_exec::engine::{EngineEvent, EventCtx};
 use rupam_exec::offer_state::ShufflePrefs;
 use rupam_exec::scheduler::{Command, KillReason, NodeView, RunningTaskView, Scheduler};
 use rupam_exec::EngineError;
-use rupam_faults::{FailureDetector, NodeHealth};
 use rupam_metrics::breakdown::BreakdownCategory;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
 use rupam_metrics::trace::{AbortCause, TraceBuffer};
@@ -155,12 +158,6 @@ struct NodeSt {
     net_util: f64,
     /// Disk occupancy from the worker's last heartbeat payload.
     disk_util: f64,
-    /// Part of the fleet. On-demand nodes always are; spot nodes start
-    /// deprovisioned (their agents register but stay blocked) and churn
-    /// under the capacity controller.
-    provisioned: bool,
-    /// Preemption drain deadline, when a notice is outstanding.
-    drain_deadline: Option<SimTime>,
 }
 
 /// Sim seconds → wall duration under the serve time scale, floored at
@@ -242,10 +239,10 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     outbox: Outbox,
     now: SimTime,
     nodes: Vec<NodeSt>,
-    /// Task, stage and job bookkeeping and the offer state, shared with
-    /// the sim engine.
+    /// Task, stage and job bookkeeping, the offer state and the fleet,
+    /// shared with the sim engine. Spot workers register but stay
+    /// blocked until the capacity controller provisions them.
     ctl: ControlPlane<'a>,
-    detector: FailureDetector,
     trace: TraceBuffer,
     round: u64,
     draining: bool,
@@ -259,12 +256,7 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     /// Stamp of the already-scheduled [`ServeEvent::Offer`], if any.
     offer_due: Option<SimTime>,
     last_offer_at: Option<SimTime>,
-    // ---- elastic spot tier (absent without spot pools) ----
-    /// The shared capacity controller, hosted on driver ticks. It draws
-    /// from a dedicated seeded RNG only while handling popped events, so
-    /// a replay of the input log reproduces the identical churn.
-    elastic: Option<Controller>,
-    /// The next controller check is due at this stamp.
+    /// The next capacity-controller check is due at this stamp.
     next_check: SimTime,
     // ---- instrumentation ----
     offer_us: Vec<u64>,
@@ -272,9 +264,6 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     dead_drops: u64,
     autoscale_drops: u64,
     preempt_drops: u64,
-    preemptions: u64,
-    provisions: u64,
-    decommissions: u64,
 }
 
 impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
@@ -299,8 +288,6 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     running: Vec::new(),
                     net_util: 0.0,
                     disk_util: 0.0,
-                    provisioned: cfg.sim.elastic.tier(id) == NodeTier::OnDemand,
-                    drain_deadline: None,
                 }
             })
             .collect();
@@ -313,14 +300,22 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             outbox,
             now: SimTime::ZERO,
             nodes,
+            // the detector is always armed; the capacity controller draws
+            // from a dedicated seeded RNG only while handling popped
+            // events, so a replay of the input log reproduces its churn
             ctl: ControlPlane::new(
                 cluster,
                 &cfg.sim,
                 &catalog.app,
                 &catalog.layout,
                 Some(catalog),
+                Fleet::new(
+                    cluster,
+                    &cfg.sim,
+                    true,
+                    StdRng::seed_from_u64(cfg.elastic_seed),
+                ),
             ),
-            detector: FailureDetector::new(cluster.len(), &cfg.sim.faults, SimTime::ZERO),
             trace: TraceBuffer::new(rupam_metrics::trace::DEFAULT_TRACE_CAPACITY),
             round: 0,
             draining: false,
@@ -332,36 +327,18 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             failed: 0,
             offer_due: None,
             last_offer_at: None,
-            elastic: (!cfg.sim.elastic.is_empty()).then(|| {
-                let rng = StdRng::seed_from_u64(cfg.elastic_seed);
-                Controller::new(&cfg.sim.elastic, cluster, rng)
-            }),
             next_check: SimTime::ZERO + wall_secs(cfg.sim.elastic.check_secs, cfg.time_scale),
             offer_us: Vec::new(),
             stale_drops: 0,
             dead_drops: 0,
             autoscale_drops: 0,
             preempt_drops: 0,
-            preemptions: 0,
-            provisions: 0,
-            decommissions: 0,
         }
     }
 
     /// Record `event`'s trace projection.
     fn publish(&mut self, event: EngineEvent) {
-        self.control().1.publish(event);
-    }
-
-    /// The control plane, and what its transitions act through: the
-    /// driver's clock, offer round, scheduler and trace.
-    fn control(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
-        let ctx = EventCtx {
-            at: self.now,
-            round: self.round,
-        };
-        let (sched, sink) = (&mut *self.sched, &mut self.trace);
-        (&mut self.ctl, Io { ctx, sched, sink })
+        self.io().1.publish(event);
     }
 
     /// End the run with `cause`.
@@ -392,7 +369,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             match ev {
                 ServeEvent::Tick => {
                     self.sched.on_heartbeat(self.now);
-                    self.evaluate_detector();
+                    ControlPlane::detector_round(self);
                     self.elastic_tick();
                     if let Some(max) = self.cfg.max_wall {
                         if self.now >= SimTime(max.as_micros() as u64) && !self.finished() {
@@ -435,7 +412,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             ClientRequest::Submit { job } => {
                 // an unknown or duplicate job id is ignored like a
                 // malformed RPC
-                let (ctl, mut io) = self.control();
+                let (ctl, mut io) = self.io();
                 if ctl.submit_job(job, &mut io) {
                     self.request_offers();
                 }
@@ -461,14 +438,14 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 nst.net_util = 0.0;
                 nst.disk_util = 0.0;
                 self.ctl.offers().node_dirty(worker);
-                self.observe_liveness(worker);
+                ControlPlane::beacon(self, worker);
                 self.request_offers();
             }
             WorkerReport::Heartbeat {
                 net_util,
                 disk_util,
             } => {
-                self.observe_liveness(worker);
+                ControlPlane::beacon(self, worker);
                 let nst = &mut self.nodes[worker.index()];
                 if nst.net_util != net_util || nst.disk_util != disk_util {
                     nst.net_util = net_util;
@@ -488,19 +465,6 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 attempt,
                 reason,
             } => self.attempt_ended(worker, task, attempt, Some(reason)),
-        }
-    }
-
-    /// Feed the failure detector; a beacon from a declared-dead node
-    /// re-admits it (the sim engine's re-admission path). The dead view
-    /// was blocked, so it is rebuilt next round without a mark.
-    fn observe_liveness(&mut self, worker: NodeId) {
-        if self.detector.is_dead(worker) {
-            self.detector.revive(worker, self.now);
-            self.publish(EngineEvent::NodeRecovered { node: worker });
-            self.request_offers();
-        } else {
-            self.detector.observe(worker, self.now);
         }
     }
 
@@ -536,7 +500,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     outcome,
                     ..entry.rec
                 };
-                let (ctl, mut io) = self.control();
+                let (ctl, mut io) = self.io();
                 ctl.attempt_finished(&record, &mut io);
                 self.request_offers();
                 return;
@@ -571,143 +535,39 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             outcome,
             ..entry.rec
         };
-        let (ctl, mut io) = self.control();
+        let (ctl, mut io) = self.io();
         if ctl.attempt_failed(entry.id, &record, &mut io) {
             self.abort = Some(AbortCause::RetriesExhausted);
         }
         self.request_offers();
     }
 
-    // ---- failure detection & recovery -----------------------------------
-
-    fn evaluate_detector(&mut self) {
-        for tr in self.detector.evaluate(self.now) {
-            // every health transition changes the node's view (suspect /
-            // dead / blocked flags) and can change what is dispatchable
-            self.ctl.offers().node_dirty(tr.node);
-            match tr.to {
-                NodeHealth::Suspect => {
-                    self.publish(EngineEvent::NodeSuspect {
-                        node: tr.node,
-                        age: tr.age,
-                    });
-                    self.request_offers();
-                }
-                NodeHealth::Dead => {
-                    self.publish(EngineEvent::NodeDead {
-                        node: tr.node,
-                        age: tr.age,
-                    });
-                    self.node_lost(tr.node);
-                }
-                // a suspect's heartbeats caught up before the dead
-                // threshold: it never left the rankings, so nothing is
-                // recorded (as in the engine), but its view changed
-                NodeHealth::Alive => self.request_offers(),
-            }
-        }
-    }
-
-    /// A node was declared dead: kill-and-requeue its running attempts,
-    /// cancel any preemption notice (the node is already gone), and let
-    /// the control plane re-pend finished map tasks whose winning output
-    /// lived there (serve workers hold no executor cache to wipe).
-    fn node_lost(&mut self, node_id: NodeId) {
-        let nst = &mut self.nodes[node_id.index()];
-        let victims = std::mem::take(&mut nst.running);
-        nst.mem_in_use = ByteSize::ZERO;
-        nst.net_util = 0.0;
-        nst.disk_util = 0.0;
-        nst.drain_deadline = None;
-        for v in victims {
-            let (ctl, mut io) = self.control();
-            ctl.task_killed(v.rec.task, node_id, &mut io);
-            self.fail_attempt(v, AttemptOutcome::NodeFaulted);
-        }
-        let (ctl, mut io) = self.control();
-        ctl.outputs_lost(node_id, &mut io);
-        self.request_offers();
-    }
-
-    // ---- elastic spot tier ----------------------------------------------
-
-    /// The capacity controller, hosted on every driver tick: fire due
-    /// preemption drains, and — at the (scaled) check cadence — run the
-    /// shared controller check and apply its actions. Pure function of
-    /// the popped event order plus the dedicated seeded RNG, so replay
-    /// reproduces the identical churn.
+    /// The capacity controller's side of a tick: reclaim nodes whose
+    /// drain notice is due, and — at the (scaled) check cadence — run
+    /// the control plane's controller check. Pure function of the popped
+    /// event order, so replay reproduces the identical churn.
     fn elastic_tick(&mut self) {
-        let Some(mut ctl) = self.elastic.take() else {
+        if !self.ctl.fleet().scaling() {
             return;
-        };
-        let cfg = self.cfg;
-        let ecfg = &cfg.sim.elastic;
-
-        // fire preemption drains whose notice window expired: reclaim
-        // the node through the same loss path a dead declaration takes
+        }
         for i in 0..self.nodes.len() {
-            let nst = &mut self.nodes[i];
-            let due = nst.drain_deadline.is_some_and(|d| d <= self.now);
-            if !due {
+            let node = NodeId(i);
+            if !self.ctl.fleet().drain_due(node, self.now) {
                 continue;
             }
-            nst.drain_deadline = None;
-            nst.provisioned = false;
-            self.preemptions += 1;
-            let node = NodeId(i);
             // free the worker's slots; its failure reports arrive as
-            // stale (the authoritative attempts are requeued below)
-            let held: Vec<TaskRef> = self.nodes[i].running.iter().map(|r| r.rec.task).collect();
-            for task in held {
+            // stale (the reclaim fails the authoritative attempts)
+            for r in &self.nodes[i].running {
+                let task = r.rec.task;
                 self.outbox.send(node, WorkerCommand::Preempt { task });
             }
-            self.node_lost(node);
+            ControlPlane::reclaim(self, node);
         }
-
         if self.now >= self.next_check && self.abort.is_none() {
-            self.next_check = self.now + wall_secs(ecfg.check_secs, cfg.time_scale);
-            let fleet: Vec<FleetNode> = (self.nodes.iter().enumerate())
-                .map(|(i, n)| FleetNode {
-                    provisioned: n.provisioned,
-                    down: self.detector.is_dead(NodeId(i)),
-                    draining: n.drain_deadline.is_some(),
-                    busy: !n.running.is_empty(),
-                })
-                .collect();
-            // the flushed persistent list is the released pending set
-            let backlog = ControlPlane::backlog(self);
-            let grace = ecfg.scale_down_idle_secs * cfg.time_scale;
-            let actions = ctl.check(ecfg, self.now, grace, &fleet, backlog);
-            // the actions need no view marks: an unprovisioned view was
-            // blocked, so it is rebuilt next round, and the price step
-            // marked every provisioned spot node
-            self.ctl.offers().prices_stepped(&ctl, &fleet);
-            for action in actions {
-                match action {
-                    ScalingAction::Provision(node) => {
-                        self.nodes[node.index()].provisioned = true;
-                        self.provisions += 1;
-                        self.publish(EngineEvent::NodeProvisioned { node });
-                        self.request_offers();
-                    }
-                    ScalingAction::Decommission(node) => {
-                        self.nodes[node.index()].provisioned = false;
-                        self.decommissions += 1;
-                        self.publish(EngineEvent::NodeDecommissioned { node });
-                        // map outputs leave with the node: same loss
-                        // path as a crash, lineage recompute included
-                        self.node_lost(node);
-                    }
-                    ScalingAction::Preempt { node, notice_secs } => {
-                        let notice = wall_secs(notice_secs, cfg.time_scale);
-                        self.nodes[node.index()].drain_deadline = Some(self.now + notice);
-                        self.publish(EngineEvent::PreemptionNotice { node, notice });
-                        self.request_offers();
-                    }
-                }
-            }
+            let ecfg = &self.cfg.sim.elastic;
+            self.next_check = self.now + wall_secs(ecfg.check_secs, self.cfg.time_scale);
+            ControlPlane::controller_check(self);
         }
-        self.elastic = Some(ctl);
     }
 
     // ---- offers ----------------------------------------------------------
@@ -772,18 +632,18 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 };
                 // a launch to a dead node is a lost RPC; the task stays
                 // pending, and the offer state lists it fresh next round
-                let health = self.detector.health(node);
-                if !self.nodes[node.index()].registered || health == NodeHealth::Dead {
+                let fleet = self.ctl.fleet();
+                if !self.nodes[node.index()].registered || fleet.is_dead(node) {
                     self.dead_drops += 1;
                     return;
                 }
                 // elastic races mirror the dead-node race: the view the
                 // scheduler placed against went stale mid-round
-                if !self.nodes[node.index()].provisioned {
+                if !fleet.provisioned(node) {
                     self.autoscale_drops += 1;
                     return;
                 }
-                if self.nodes[node.index()].drain_deadline.is_some() {
+                if fleet.draining(node) {
                     self.preempt_drops += 1;
                     return;
                 }
@@ -896,6 +756,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         let jobs = self.ctl.jobs();
         let jobs_submitted = jobs.iter().filter(|j| j.submitted).count();
         let jobs_completed = jobs.iter().filter(|j| j.completed_at.is_some()).count();
+        let cost = self.ctl.fleet().cost();
         ServeReport {
             digest: self.trace.digest(),
             events_recorded: self.trace.recorded(),
@@ -915,9 +776,9 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             dead_launch_drops: self.dead_drops,
             autoscale_launch_drops: self.autoscale_drops,
             preempt_launch_drops: self.preempt_drops,
-            preemptions: self.preemptions,
-            provisions: self.provisions,
-            decommissions: self.decommissions,
+            preemptions: cost.preemptions as u64,
+            provisions: cost.provisions as u64,
+            decommissions: cost.decommissions as u64,
             abort: self.abort,
             makespan: SimDuration(self.now.0),
             clean: self.abort.is_none() && jobs_submitted == jobs_completed,
@@ -925,8 +786,8 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     }
 }
 
-/// The serve driver lends the control plane views of the node tables
-/// event application mutates.
+/// The serve driver lends the control plane its node tables, the
+/// worker outbox's attempts and its wall clock.
 impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
     fn control(&self) -> &ControlPlane<'a> {
         &self.ctl
@@ -936,11 +797,23 @@ impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
         &mut self.ctl
     }
 
+    fn io(&mut self) -> (&mut ControlPlane<'a>, Io<'_>) {
+        let ctx = EventCtx {
+            at: self.now,
+            round: self.round,
+        };
+        let (sched, sink) = (&mut *self.sched, &mut self.trace);
+        (&mut self.ctl, Io { ctx, sched, sink })
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Blocked until the node's worker registers.
     fn node_view(&self, id: NodeId) -> NodeView {
         let st = &self.nodes[id.index()];
         let spec = self.cluster.node(id);
-        let health = self.detector.health(id);
-        let dead = health == NodeHealth::Dead;
         let now = self.now;
         let running: Vec<RunningTaskView> = st
             .running
@@ -954,12 +827,6 @@ impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
             })
             .collect();
         let gpus_busy = st.running.iter().filter(|r| r.rec.used_gpu).count() as u32;
-        let draining = st.drain_deadline.is_some();
-        let (tier, preempt_risk) = match &self.elastic {
-            Some(ctl) if st.provisioned => (ctl.tier_of(id), ctl.risk_of(id)),
-            Some(ctl) => (ctl.tier_of(id), 0.0),
-            None => (NodeTier::OnDemand, 0.0),
-        };
         NodeView {
             node: id,
             executor_mem: st.executor_mem,
@@ -970,18 +837,50 @@ impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
             disk_util: st.disk_util,
             gpus_idle: spec.gpus.saturating_sub(gpus_busy),
             running,
-            blocked: !st.registered || dead || !st.provisioned || draining,
-            heartbeat_age: self.heartbeat_age(id),
-            dead,
-            suspect: health == NodeHealth::Suspect,
-            tier,
-            draining,
-            preempt_risk,
+            blocked: !st.registered,
+            heartbeat_age: SimDuration::ZERO,
+            dead: false,
+            suspect: false,
+            tier: NodeTier::OnDemand,
+            draining: false,
+            preempt_risk: 0.0,
         }
     }
 
-    fn heartbeat_age(&self, node: NodeId) -> SimDuration {
-        self.detector.age(node, self.now)
+    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)> {
+        (self.nodes[node.index()].running.iter())
+            .map(|r| (r.id, r.rec.task))
+            .collect()
+    }
+
+    fn kill_attempt(&mut self, node: NodeId, id: AttemptId) {
+        let nst = &mut self.nodes[node.index()];
+        let pos = (nst.running.iter())
+            .position(|r| r.id == id)
+            .expect("a listed attempt");
+        let entry = nst.running.remove(pos);
+        nst.mem_in_use = nst.mem_in_use.saturating_sub(entry.rec.peak_mem);
+        self.fail_attempt(entry, AttemptOutcome::NodeFaulted);
+    }
+
+    /// The worker's reported utilisation resets with its slots.
+    fn wipe(&mut self, node: NodeId) {
+        let nst = &mut self.nodes[node.index()];
+        nst.mem_in_use = ByteSize::ZERO;
+        nst.net_util = 0.0;
+        nst.disk_util = 0.0;
+    }
+
+    fn host_duration(&self, secs: f64) -> SimDuration {
+        wall_secs(secs, self.cfg.time_scale)
+    }
+
+    fn host_secs(&self, secs: f64) -> f64 {
+        secs * self.cfg.time_scale
+    }
+
+    fn wake(&mut self) {
+        self.request_offers();
     }
 }
 

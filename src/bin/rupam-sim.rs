@@ -483,22 +483,30 @@ fn run_one(opts: &Options, sched: &Sched) -> bool {
                 ),
             }
         }
+        // JCT figures average over the jobs that finished; say so when
+        // an aborted run left some unfinished
+        let finished = report.jobs.iter().filter(|j| j.jct().is_some()).count();
+        let total = report.jobs.len();
+        let survivors = if finished < total {
+            " (finished jobs only)"
+        } else {
+            ""
+        };
         println!(
-            "  JCT mean {:.1}s | p95 {:.1}s over {} jobs",
+            "  JCT mean {:.1}s | p95 {:.1}s over {finished}/{total} finished jobs",
             report.jct_mean(),
             report.jct_p95(),
-            report.jobs.len()
         );
         if !opts.tenants.is_empty() {
             for (tenant, mean) in report.tenant_jct_means() {
                 let t = &opts.tenants[tenant.index()];
                 println!(
-                    "  tenant {:<8} (weight {:.1}) mean JCT {mean:.1}s",
+                    "  tenant {:<8} (weight {:.1}) mean JCT {mean:.1}s{survivors}",
                     t.name, t.weight
                 );
             }
             println!(
-                "  Jain index over per-tenant mean JCTs: {:.3}",
+                "  Jain index over per-tenant mean JCTs: {:.3}{survivors}",
                 report.tenant_jain_jct()
             );
         }
