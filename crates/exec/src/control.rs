@@ -128,8 +128,8 @@ pub trait ControlHost<'a> {
     /// Wipe what `node`'s loss takes with it on the host's side; its
     /// attempts are already failed.
     fn wipe(&mut self, node: NodeId);
-    /// Is `node` down? A down node is neither scaled nor preempted, and
-    /// its drain notice reclaims nothing. By default: declared dead.
+    /// Is `node` down? The capacity controller neither scales nor
+    /// preempts a down node. By default: declared dead.
     fn down(&self, node: NodeId) -> bool {
         self.control().fleet.is_dead(node)
     }

@@ -320,15 +320,15 @@ impl<'a> ControlPlane<'a> {
     }
 
     /// A drain deadline may have come: reclaim `node` if its notice is
-    /// due and it is not down. A notice cancelled by node loss, or
-    /// reissued with a later deadline, is not due, and a reclaim clears
-    /// it, so each notice reclaims at most once. A spot node leaves the
-    /// fleet (the controller may re-provision the slot later); an
-    /// on-demand node stays in it, and the host decides what a reclaim
-    /// leaves of it. True when the node was reclaimed.
+    /// due. A notice cancelled by node loss, or reissued with a later
+    /// deadline, is not due, and a reclaim clears it, so each notice
+    /// reclaims at most once. A spot node leaves the fleet (the
+    /// controller may re-provision the slot later); an on-demand node
+    /// stays in it, and the host decides what a reclaim leaves of it.
+    /// True when the node was reclaimed.
     pub fn reclaim<H: ControlHost<'a>>(host: &mut H, node: NodeId) -> bool {
         let now = host.now();
-        if !host.control().fleet.drain_due(node, now) || host.down(node) {
+        if !host.control().fleet.drain_due(node, now) {
             return false;
         }
         let fleet = &mut host.control_mut().fleet;

@@ -8,20 +8,23 @@
 //! and recomputes completion times, so rate changes never go stale.
 //!
 //! The engine owns physics (execution rates, memory, OOM, executor loss,
-//! race resolution); *policy* lives entirely in the [`Scheduler`]
-//! implementation it drives, and task, stage and job bookkeeping in the
-//! [`ControlPlane`] it shares with the serve driver (submission, stage
-//! release, a won or failed attempt, the lineage re-pend after node
-//! loss, the pending views and the offer state). Structurally the engine
-//! is split around two seams:
+//! race resolution, which nodes are physically up); *policy* lives
+//! entirely in the [`Scheduler`] implementation it drives, and
+//! bookkeeping in the [`ControlPlane`] it shares with the serve driver:
+//! tasks, stages and jobs (submission, stage release, a won or failed
+//! attempt, the lineage re-pend after node loss, the pending views and
+//! the offer state) and the fleet (the failure detector, node loss, the
+//! capacity controller, drain notices and reclaims). Structurally the
+//! engine is split around two seams:
 //!
 //! * **[`state`]** — one authoritative `ClusterState` (nodes, executors,
 //!   in-flight attempts) owned by the core loop ([`driver`]) beside the
 //!   control plane, and mutated only by the subsystem modules:
-//!   [`lifecycle`] (launch/finish/fail/race), [`heartbeat`] (detector +
-//!   livelock guard), [`recovery`] (chaos faults, node loss, OOM),
-//!   [`speculation`] (straggler flagging), [`caching`] (cache scoping +
-//!   the cache's dirty marks) and [`offers`] (node views + round).
+//!   [`lifecycle`] (launch/finish/fail/race), [`heartbeat`] (detector
+//!   beacons + livelock guard), [`recovery`] (chaos faults, drain
+//!   reclaims, OOM), [`speculation`] (straggler flagging), [`caching`]
+//!   (cache scoping + the cache's dirty marks) and [`offers`] (the
+//!   engine's [`ControlHost`](crate::control::ControlHost) side + round).
 //! * **[`events`]** — a typed, deterministically-ordered
 //!   [`EngineEvent`] bus through which everything that *observes* the
 //!   simulation hangs off: trace emission, fault statistics and the

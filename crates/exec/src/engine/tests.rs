@@ -825,10 +825,11 @@ fn crash_recovery_resolves_every_kill_and_keeps_peak_hints() {
 }
 
 /// A drain notice cancelled by node loss does not reclaim the node when
-/// its old deadline comes; a notice reissued after the node came back
-/// reclaims it once, at the new deadline. Node 1 is noticed at 1 s (2 s
-/// window), crashes at 2 s and restarts at 2.5 s, and is noticed again
-/// (4 s window): the stale timer pops at 3 s, the live one at 6.5 s.
+/// its old deadline comes, even once the node is back; a notice reissued
+/// after the node came back reclaims it once, at the new deadline. Both
+/// nodes are noticed at 1 s (2 s window), crash at 2 s and restart at
+/// 2.5 s; node 1 is noticed again then (4 s window). The stale timers
+/// pop at 3 s, node 1's live one at 6.5 s.
 #[test]
 fn a_reissued_drain_notice_reclaims_once_at_its_own_deadline() {
     let cluster = ClusterSpec::homogeneous(2);
@@ -843,26 +844,112 @@ fn a_reissued_drain_notice_reclaims_once_at_its_own_deadline() {
     };
     let mut sched = RefuseAll;
     let mut sim = assemble(&input, None, &mut sched, EventBus::new());
-    let node = NodeId(1);
-    sim.now = SimTime::from_secs_f64(1.0);
-    ControlPlane::drain_notice(&mut sim, node, 2.0);
-    sim.now = SimTime::from_secs_f64(2.0);
-    sim.state.nodes[1].crashed = true;
-    ControlPlane::node_lost(&mut sim, node);
-    sim.now = SimTime::from_secs_f64(2.5);
-    sim.state.nodes[1].crashed = false;
-    ControlPlane::drain_notice(&mut sim, node, 4.0);
+    let nodes = [NodeId(0), NodeId(1)];
+    let at = |secs| SimTime::from_secs_f64(secs);
+    sim.now = at(1.0);
+    for node in nodes {
+        ControlPlane::drain_notice(&mut sim, node, 2.0);
+    }
+    sim.now = at(2.0);
+    for node in nodes {
+        sim.state.nodes[node.index()].crashed = true;
+        ControlPlane::node_lost(&mut sim, node);
+    }
+    sim.now = at(2.5);
+    for node in nodes {
+        sim.state.nodes[node.index()].crashed = false;
+    }
+    ControlPlane::drain_notice(&mut sim, NodeId(1), 4.0);
     let mut reclaimed = Vec::new();
-    while let Some((at, ev)) = sim.source.pop() {
-        sim.now = at;
+    while let Some((t, ev)) = sim.source.pop() {
+        sim.now = t;
         if let Event::PreemptFire { node } = ev {
             sim.preempt_fire(node);
             // an on-demand node's reclaim leaves it crashed
-            if std::mem::take(&mut sim.state.nodes[1].crashed) {
-                reclaimed.push(at);
+            if std::mem::take(&mut sim.state.nodes[node.index()].crashed) {
+                reclaimed.push((node, t));
             }
         }
     }
-    assert_eq!(reclaimed, vec![SimTime::from_secs_f64(6.5)]);
+    assert_eq!(reclaimed, vec![(NodeId(1), at(6.5))]);
+    assert!(nodes.iter().all(|&n| !sim.ctl.fleet().draining(n)));
+}
+
+/// A spot node the controller provisions joins the fleet at once but is
+/// blocked to the scheduler until its provisioning latency has passed.
+/// The first check (t = 0, backlog from a scheduler that launches
+/// nothing) provisions spot node 1 with a 5 s latency.
+#[test]
+fn a_provisioned_node_accepts_work_after_its_latency() {
+    use crate::offer_state::OfferHost;
+    use rupam_elastic::{ElasticConfig, SpotPolicy};
+
+    let cluster = ClusterSpec::homogeneous(2);
+    let (app, layout) = tiny_app(2, 4.0);
+    let mut elastic = ElasticConfig::spot_tail(2, 1, SpotPolicy::Greedy);
+    elastic.scale_up_backlog = 0.0;
+    elastic.provision_secs = 5.0;
+    elastic.pools[0].preempt_base = 0.0;
+    elastic.pools[0].preempt_slope = 0.0;
+    let cfg = SimConfig {
+        elastic,
+        ..SimConfig::default()
+    };
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 5,
+    };
+    let mut sched = RefuseAll;
+    let mut sim = assemble(&input, None, &mut sched, EventBus::new());
+    sim.prologue();
+    let spot = NodeId(1);
+    assert!(OfferHost::node_view(&sim, spot).blocked);
+    ControlPlane::controller_check(&mut sim);
+    assert!(sim.ctl.fleet().provisioned(spot));
+    let blocked_at = |sim: &mut super::driver::Engine<'_, '_>, secs| {
+        sim.now = SimTime::from_secs_f64(secs);
+        OfferHost::node_view(&*sim, spot).blocked
+    };
+    assert!(blocked_at(&mut sim, 0.0));
+    assert!(blocked_at(&mut sim, 4.9));
+    assert!(!blocked_at(&mut sim, 5.0));
+}
+
+/// A drain notice served to a node that is already down (a scripted
+/// preemption of a crashed node) still reclaims it when due, so the node
+/// is back in service once a restart revives it.
+#[test]
+fn a_drain_notice_on_a_crashed_node_does_not_outlive_its_restart() {
+    let cluster = ClusterSpec::homogeneous(2);
+    let (app, layout) = tiny_app(2, 4.0);
+    let cfg = SimConfig::default();
+    let input = SimInput {
+        cluster: &cluster,
+        app: &app,
+        layout: &layout,
+        config: &cfg,
+        seed: 5,
+    };
+    let mut sched = RefuseAll;
+    let mut sim = assemble(&input, None, &mut sched, EventBus::new());
+    let node = NodeId(1);
+    sim.now = SimTime::from_secs_f64(1.0);
+    sim.state.nodes[1].crashed = true;
+    ControlPlane::node_lost(&mut sim, node);
+    sim.now = SimTime::from_secs_f64(1.5);
+    ControlPlane::drain_notice(&mut sim, node, 1.0);
+    let (t, ev) = sim.source.pop().expect("the notice's timer");
+    assert_eq!(t, SimTime::from_secs_f64(2.5));
+    let Event::PreemptFire { node } = ev else {
+        panic!("expected a PreemptFire, got {ev:?}");
+    };
+    sim.now = t;
+    sim.preempt_fire(node);
+    sim.now = SimTime::from_secs_f64(3.0);
+    sim.state.nodes[1].crashed = false;
     assert!(!sim.ctl.fleet().draining(node));
+    assert!(!crate::offer_state::OfferHost::node_view(&sim, node).blocked);
 }
