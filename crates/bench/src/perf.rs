@@ -7,14 +7,16 @@
 //!   `Scheduler::offer_round` over an 8-tenant job stream;
 //! * **end-to-end stream** — wall-clock of the whole `--jobs 8`
 //!   simulation;
-//! * **DB lookups** — `DB_task_char` read throughput, single-threaded
-//!   and with 4 concurrent readers over the sharded store.
+//! * **DB lookups** — `DB_task_char` single-threaded borrowed lookups
+//!   per second.
 //!
 //! Results land in `BENCH_scheduler.json`. The regression gate compares
-//! *dimensionless ratios* measured within one run on one machine — the
-//! share of the stream's wall-clock spent in offer rounds, DB thread
-//! scaling, offer-latency scaling across cluster sizes — so the
-//! committed baseline stays meaningful across hardware.
+//! mostly *dimensionless ratios* measured within one run on one machine
+//! — the share of the stream's wall-clock spent in offer rounds,
+//! offer-latency scaling across cluster sizes — so the committed
+//! baseline stays meaningful across hardware. The absolute rows (DB
+//! lookups per second, end-to-end time per round) gate against the
+//! committed baseline with a tolerance.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,7 +42,8 @@ pub const GATE_TOLERANCE: f64 = 0.25;
 /// double. The row is absolute wall-clock, so the band is wide enough
 /// for host-to-host and run-to-run noise; it exists because a slower
 /// engine *lowers* `offer_share_*`, so the share gate alone cannot see
-/// an engine regression.
+/// an engine regression. The absolute `lookup_ops_per_sec_1t` row gets
+/// the mirror band: it may at most halve.
 pub const E2E_TOLERANCE: f64 = 1.0;
 
 /// Absolute ceiling for `engine_event_overhead`: attaching bus
@@ -209,22 +212,13 @@ impl ClusterResult {
     }
 }
 
-/// DB lookup throughput.
-#[derive(Clone, Copy, Debug)]
-pub struct DbThroughput {
-    /// Single-threaded reads per second.
-    pub ops_per_sec_1t: f64,
-    /// Aggregate reads per second across 4 concurrent readers.
-    pub ops_per_sec_4t: f64,
-}
-
 /// Everything `rupam-bench perf` measures.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
     /// Per-cluster stream timings.
     pub clusters: Vec<ClusterResult>,
-    /// Sharded-store read throughput.
-    pub db: DbThroughput,
+    /// `DB_task_char` borrowed lookups per second, single-threaded.
+    pub db_lookups_per_sec: f64,
     /// RUPAM resilience ratios per chaos scenario: healthy over
     /// degraded mean makespan (simulated time — deterministic, so
     /// gate-able across machines). `(scenario label, ratio)`.
@@ -423,9 +417,12 @@ pub fn bench_cluster(label: &str, cluster: ClusterSpec, jobs: usize, seed: u64) 
     }
 }
 
-/// Measure `DB_task_char` read throughput over a populated store.
-pub fn bench_db(ops: usize) -> DbThroughput {
-    let db = TaskCharDb::new();
+/// Measure `DB_task_char` lookups per second over a populated store:
+/// the borrowed `get` the Task Manager serves every probe with. Best of
+/// [`DB_PASSES`] passes of `ops` lookups each: a single pass on a busy
+/// host now and then reads under half the usual rate.
+pub fn bench_db(ops: usize) -> f64 {
+    let mut db = TaskCharDb::new();
     let keys: Vec<TaskKey> = (0..1024)
         .map(|i| TaskKey::new(format!("perf/t{}", i % 64), i))
         .collect();
@@ -435,37 +432,24 @@ pub fn bench_db(ops: usize) -> DbThroughput {
             c.peak_mem = ByteSize::mib(64 + (i as u64 % 512));
         });
     }
-    db.flush();
 
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for i in 0..ops {
-        if db.read(&keys[i % keys.len()]).is_some() {
-            hits += 1;
+    let mut best = f64::INFINITY;
+    for _ in 0..DB_PASSES {
+        let t = Instant::now();
+        let mut hits = 0usize;
+        for i in 0..ops {
+            if std::hint::black_box(db.get(&keys[i % keys.len()])).is_some() {
+                hits += 1;
+            }
         }
+        best = best.min(t.elapsed().as_secs_f64());
+        assert_eq!(hits, ops, "populated keys must all hit");
     }
-    let ops_per_sec_1t = ops as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(hits, ops, "populated keys must all hit");
-
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..4 {
-            let db = &db;
-            let keys = &keys;
-            scope.spawn(move || {
-                for i in 0..ops / 4 {
-                    std::hint::black_box(db.read(&keys[(w * 7 + i * 13) % keys.len()]));
-                }
-            });
-        }
-    });
-    let ops_per_sec_4t = (ops / 4 * 4) as f64 / t.elapsed().as_secs_f64();
-
-    DbThroughput {
-        ops_per_sec_1t,
-        ops_per_sec_4t,
-    }
+    ops as f64 / best
 }
+
+/// Timed passes per [`bench_db`] call.
+const DB_PASSES: usize = 5;
 
 /// Run the full suite. `quick` trims the mid-size cluster and the DB
 /// op count for CI smoke runs.
@@ -490,7 +474,7 @@ pub fn run(quick: bool) -> PerfReport {
         .collect();
     let db_ops = if quick { 200_000 } else { 1_000_000 };
     eprintln!("perf: DB lookup throughput ({db_ops} ops) …");
-    let db = bench_db(db_ops);
+    let db_lookups_per_sec = bench_db(db_ops);
     eprintln!("perf: degraded resilience (chaos scenarios) …");
     let degraded = crate::degraded::rupam_resilience(
         &ClusterSpec::hydra(),
@@ -520,7 +504,7 @@ pub fn run(quick: bool) -> PerfReport {
     };
     PerfReport {
         clusters,
-        db,
+        db_lookups_per_sec,
         degraded,
         event_overhead,
         serve,
@@ -548,18 +532,6 @@ pub fn to_json(r: &PerfReport) -> String {
             c.label, c.nodes, c.jobs, p.e2e_ms, p.offer_p50_us, p.offer_p95_us, p.offer_total_ms, p.rounds, p.makespan_secs
         );
     }
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"db\": {{");
-    let _ = writeln!(
-        s,
-        "    \"lookup_ops_per_sec_1t\": {:.0},",
-        r.db.ops_per_sec_1t
-    );
-    let _ = writeln!(
-        s,
-        "    \"lookup_ops_per_sec_4t\": {:.0}",
-        r.db.ops_per_sec_4t
-    );
     let _ = writeln!(s, "  }},");
     if !r.serve.is_empty() {
         let _ = writeln!(s, "  \"serve\": {{");
@@ -634,7 +606,7 @@ pub fn to_json(r: &PerfReport) -> String {
             big.max_pending as f64
         );
         // throughput floor under the deepest backlog — ratio-gated
-        // against the committed baseline like the DB scaling row
+        // against the committed baseline like the DB lookup row
         let _ = writeln!(
             s,
             "    \"serve_jobs_per_sec_hydra256\": {:.2},",
@@ -643,12 +615,12 @@ pub fn to_json(r: &PerfReport) -> String {
     }
     let _ = writeln!(s, "    \"fairness_jain_weighted\": {:.3},", r.fairness_jain);
     let _ = writeln!(s, "    \"gang_admission_noop\": {:.1},", r.gang_noop);
-    let _ = writeln!(s, "    \"engine_event_overhead\": {:.3},", r.event_overhead);
     let _ = writeln!(
         s,
-        "    \"db_4t_over_1t\": {:.3}",
-        r.db.ops_per_sec_4t / r.db.ops_per_sec_1t
+        "    \"lookup_ops_per_sec_1t\": {:.0},",
+        r.db_lookups_per_sec
     );
+    let _ = writeln!(s, "    \"engine_event_overhead\": {:.3}", r.event_overhead);
     let _ = writeln!(s, "  }}");
     let _ = writeln!(s, "}}");
     s
@@ -677,7 +649,7 @@ pub fn gate_keys(json: &str) -> Vec<String> {
         .filter(|k| {
             k.starts_with("offer_share_")
                 || k.starts_with("e2e_round_us_")
-                || k.starts_with("db_")
+                || k.starts_with("lookup_")
                 || k.starts_with("degraded_")
                 || k.starts_with("engine_")
                 || k.starts_with("offer_scaling_")
@@ -693,8 +665,9 @@ pub fn gate_keys(json: &str) -> Vec<String> {
 /// Compare a fresh report against the committed baseline. Returns the
 /// regressions (key, fresh, baseline) exceeding [`GATE_TOLERANCE`]:
 /// higher-is-better ratios may drop by at most the tolerance, the
-/// lower-is-better `offer_share_*` rows may rise by at most it, and the
-/// `e2e_round_us_*` rows may rise by at most [`E2E_TOLERANCE`].
+/// lower-is-better `offer_share_*` rows may rise by at most it, the
+/// `e2e_round_us_*` rows may rise by at most [`E2E_TOLERANCE`], and
+/// `lookup_ops_per_sec_1t` may fall by the mirror factor.
 /// Only keys present in *both* documents are compared, so a `--quick`
 /// run checks cleanly against a full baseline.
 pub fn regressions(fresh: &str, baseline: &str) -> Vec<(String, f64, f64)> {
@@ -779,6 +752,18 @@ pub fn regressions(fresh: &str, baseline: &str) -> Vec<(String, f64, f64)> {
             }
             continue;
         }
+        // DB lookups per second are absolute wall-clock too, with the
+        // same wide band, as a floor: flag only a fall below half
+        if key.starts_with("lookup_") {
+            if let (Some(f), Some(b)) =
+                (extract_number(fresh, &key), extract_number(baseline, &key))
+            {
+                if f < b / (1.0 + E2E_TOLERANCE) {
+                    bad.push((key, f, b));
+                }
+            }
+            continue;
+        }
         // the replay oracle is binary and machine-independent: anything
         // but 1.0 means the live run's decisions were not reproducible,
         // regardless of what the baseline says
@@ -808,38 +793,52 @@ mod tests {
     #[test]
     fn extract_number_scans_json() {
         let doc =
-            "{\n  \"gate\": {\n    \"offer_share_hydra64\": 0.205,\n    \"db_4t_over_1t\": 3.1\n  }\n}";
+            "{\n  \"gate\": {\n    \"offer_share_hydra64\": 0.205,\n    \"lookup_ops_per_sec_1t\": 3.1\n  }\n}";
         assert_eq!(extract_number(doc, "offer_share_hydra64"), Some(0.205));
-        assert_eq!(extract_number(doc, "db_4t_over_1t"), Some(3.1));
+        assert_eq!(extract_number(doc, "lookup_ops_per_sec_1t"), Some(3.1));
         assert_eq!(extract_number(doc, "missing"), None);
         assert_eq!(
             gate_keys(doc),
             vec![
                 "offer_share_hydra64".to_string(),
-                "db_4t_over_1t".to_string()
+                "lookup_ops_per_sec_1t".to_string()
             ]
         );
     }
 
     #[test]
     fn gate_flags_only_real_regressions() {
-        let baseline = "{\"gate\": {\"offer_share_hydra64\": 0.200, \"db_4t_over_1t\": 3.0}}";
-        let ok = "{\"gate\": {\"offer_share_hydra64\": 0.240, \"db_4t_over_1t\": 2.4}}";
+        let baseline = "{\"gate\": {\"offer_share_hydra64\": 0.200, \"spot_resilience\": 3.0}}";
+        let ok = "{\"gate\": {\"offer_share_hydra64\": 0.240, \"spot_resilience\": 2.4}}";
         assert!(
             regressions(ok, baseline).is_empty(),
             "a 25% rise in offer share and a 25% drop in a ratio are tolerated"
         );
-        let bad = "{\"gate\": {\"offer_share_hydra64\": 0.260, \"db_4t_over_1t\": 3.0}}";
+        let bad = "{\"gate\": {\"offer_share_hydra64\": 0.260, \"spot_resilience\": 3.0}}";
         let r = regressions(bad, baseline);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].0, "offer_share_hydra64");
-        let slow_db = "{\"gate\": {\"offer_share_hydra64\": 0.100, \"db_4t_over_1t\": 2.1}}";
-        let r = regressions(slow_db, baseline);
+        let slow_ratio = "{\"gate\": {\"offer_share_hydra64\": 0.100, \"spot_resilience\": 2.1}}";
+        let r = regressions(slow_ratio, baseline);
         assert_eq!(r.len(), 1, "a falling offer share is an improvement");
-        assert_eq!(r[0].0, "db_4t_over_1t");
+        assert_eq!(r[0].0, "spot_resilience");
         // a quick run missing a key is not a regression
-        let partial = "{\"gate\": {\"db_4t_over_1t\": 2.9}}";
+        let partial = "{\"gate\": {\"spot_resilience\": 2.9}}";
         assert!(regressions(partial, baseline).is_empty());
+    }
+
+    #[test]
+    fn lookup_row_flags_only_a_halving() {
+        let baseline = "{\"gate\": {\"lookup_ops_per_sec_1t\": 50000000}}";
+        let drifted = "{\"gate\": {\"lookup_ops_per_sec_1t\": 30000000}}";
+        assert!(
+            regressions(drifted, baseline).is_empty(),
+            "host drift below 2x is tolerated"
+        );
+        let locked = "{\"gate\": {\"lookup_ops_per_sec_1t\": 15000000}}";
+        let r = regressions(locked, baseline);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].0, "lookup_ops_per_sec_1t");
     }
 
     #[test]
@@ -860,8 +859,7 @@ mod tests {
 
     #[test]
     fn db_bench_reads_back_all_keys() {
-        let t = bench_db(5_000);
-        assert!(t.ops_per_sec_1t > 0.0 && t.ops_per_sec_4t > 0.0);
+        assert!(bench_db(5_000) > 0.0);
     }
 
     #[test]
@@ -881,10 +879,7 @@ mod tests {
                 jobs: 8,
                 timing: path,
             }],
-            db: DbThroughput {
-                ops_per_sec_1t: 1e6,
-                ops_per_sec_4t: 3e6,
-            },
+            db_lookups_per_sec: 1e6,
             degraded: vec![("crash1".into(), 0.875)],
             event_overhead: 1.012,
             serve: vec![crate::serve::ServeBenchResult {
@@ -918,6 +913,7 @@ mod tests {
         assert!(gate_keys(&json).contains(&"fairness_jain_weighted".to_string()));
         assert!(gate_keys(&json).contains(&"gang_admission_noop".to_string()));
         assert_eq!(extract_number(&json, "lookup_ops_per_sec_1t"), Some(1e6));
+        assert!(gate_keys(&json).contains(&"lookup_ops_per_sec_1t".to_string()));
         assert_eq!(
             extract_number(&json, "degraded_resilience_crash1"),
             Some(0.875)
@@ -1005,10 +1001,7 @@ mod tests {
         };
         let mut r = PerfReport {
             clusters: vec![cluster("hydra64", 64, 4.0), cluster("hydra256", 256, 6.0)],
-            db: DbThroughput {
-                ops_per_sec_1t: 1e6,
-                ops_per_sec_4t: 3e6,
-            },
+            db_lookups_per_sec: 1e6,
             degraded: Vec::new(),
             event_overhead: 1.0,
             serve: Vec::new(),

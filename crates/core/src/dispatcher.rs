@@ -118,29 +118,19 @@ impl<'a> Dispatcher<'a> {
         })
     }
 
-    /// One DB round-trip: `(peak estimate, best-executor lock)`. The
-    /// peak is the observed one when the task (or the DB) knows it, else
-    /// a conservative default; the lock is the node a fully-characterised
-    /// task is locked to (`historyresource.size = 5 ∧ optexecutor`
-    /// known), if alive.
+    /// One DB lookup: `(peak estimate, best-executor lock)`. The peak is
+    /// the one the TM files a queued task's class under: the observed
+    /// one when the task (or the DB) knows it, else a conservative
+    /// default. The lock is the node a fully-characterised task is
+    /// locked to (`historyresource.size = 5 ∧ optexecutor` known), if
+    /// alive.
     fn read_char(&self, tm: &TaskManager, view: &PendingTaskView) -> (ByteSize, Option<NodeId>) {
         let char = tm.lookup(view);
-        let locked = self.live_lock(char.as_ref().and_then(|c| {
-            if c.history_size() == ResourceKind::COUNT {
-                c.best.map(|(n, _)| n)
-            } else {
-                None
-            }
-        }));
-        let peak = if view.peak_mem_hint > ByteSize::ZERO {
-            view.peak_mem_hint
-        } else {
-            match &char {
-                Some(c) if c.peak_mem > ByteSize::ZERO => c.peak_mem,
-                _ => self.cfg.unknown_task_mem_estimate,
-            }
-        };
-        (peak, locked)
+        let locked = self.live_lock(
+            char.filter(|c| c.history_size() == ResourceKind::COUNT)
+                .and_then(|c| c.best.map(|(n, _)| n)),
+        );
+        (tm.class_of(char, view).1, locked)
     }
 
     /// [`Dispatcher::read_char`], memoised for the round.
@@ -459,26 +449,31 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Smallest peak estimate among `kind`'s live candidates in the
-    /// current tenant scope: the plain side's is the first key of its
-    /// peak multiset — unless gang members are held this round, which
-    /// the multiset still counts, so those rounds scan — and the special
-    /// side is scanned (it is small).
+    /// current tenant scope: the first key of each side's peak multiset
+    /// (a member's stored peak is its [`Dispatcher::read_char`] estimate,
+    /// by the `pending_fresh` warranty) — unless gang members are held
+    /// this round, which the multisets still count, so those rounds scan.
     fn kind_floor(&self, tm: &TaskManager, kind: ResourceKind) -> Option<ByteSize> {
-        let plain_min = if self.held.is_empty() {
-            tm.queues.plain_floor(kind, self.tenant)
+        let (plain_min, special_min) = if self.held.is_empty() {
+            (
+                tm.queues.plain_floor(kind, self.tenant),
+                tm.queues.special_floor(kind, self.tenant),
+            )
         } else {
-            tm.queues
+            let plain = tm
+                .queues
                 .plain_kind(kind, self.tenant)
                 .filter(|(_, task, _)| !self.held.contains(task))
                 .map(|(_, _, peak)| peak)
-                .min()
+                .min();
+            let special = tm
+                .queues
+                .special_kind(kind, self.tenant)
+                .filter_map(|(_, t)| self.view_of(t))
+                .map(|v| self.peak_estimate(tm, v))
+                .min();
+            (plain, special)
         };
-        let special_min = tm
-            .queues
-            .special_kind(kind, self.tenant)
-            .filter_map(|(_, t)| self.view_of(t))
-            .map(|v| self.peak_estimate(tm, v))
-            .min();
         match (plain_min, special_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),

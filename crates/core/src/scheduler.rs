@@ -113,7 +113,7 @@ impl RupamScheduler {
 
     /// Wipe the task-characteristics DB (the Fig. 5 protocol clears it
     /// between repetitions).
-    pub fn clear_db(&self) {
+    pub fn clear_db(&mut self) {
         self.tm.clear_db();
     }
 
@@ -164,7 +164,7 @@ impl RupamScheduler {
                 let kind = self
                     .stage_templates
                     .get(&task.stage)
-                    .and_then(|t| self.tm.db().read(&crate::db::TaskKey::new(*t, task.index)))
+                    .and_then(|t| self.tm.db().get(&crate::db::TaskKey::new(*t, task.index)))
                     .and_then(|c| c.last_bottleneck)
                     .unwrap_or(ResourceKind::Cpu);
                 if let Some(target) = relocate(kind, bad_node) {
@@ -383,13 +383,6 @@ impl Scheduler for RupamScheduler {
         // the very snapshot they just dispatched from.
         findings.extend(self.node_cache.verify(input.cluster, &input.nodes));
         findings
-    }
-
-    fn on_heartbeat(&mut self, _now: SimTime) {
-        // fold queued DB_task_char writes into the store off the
-        // dispatch path, so offer rounds mostly hit the read-optimised
-        // shards with empty pending queues
-        self.tm.db().nudge();
     }
 }
 

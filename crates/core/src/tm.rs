@@ -13,6 +13,10 @@
 //! (compute time vs shuffle read/write, GPU usage; we add the Fig. 4 MEM
 //! class for memory-dominated tasks) and banks the result in the DB for
 //! "future task iterations and job runs".
+//!
+//! The TM owns the DB outright (a plain map, written through `&mut
+//! self`) and keeps, per stage template, the successful durations sorted
+//! ascending, so the resource-straggler median is an `O(1)` read.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -111,6 +115,23 @@ struct Shard {
     /// Live plain peak estimates → multiplicity; the first key answers
     /// "does anything plain fit" without a scan.
     plain_by_peak: PerResource<BTreeMap<ByteSize, usize>>,
+    /// The same multiset over the special side's peak estimates.
+    special_by_peak: PerResource<BTreeMap<ByteSize, usize>>,
+}
+
+/// Count one more `peak` in a peak multiset.
+fn add_peak(by_peak: &mut BTreeMap<ByteSize, usize>, peak: ByteSize) {
+    *by_peak.entry(peak).or_insert(0) += 1;
+}
+
+/// Count one `peak` less, dropping the key at zero.
+fn sub_peak(by_peak: &mut BTreeMap<ByteSize, usize>, peak: ByteSize) {
+    if let Some(count) = by_peak.get_mut(&peak) {
+        *count -= 1;
+        if *count == 0 {
+            by_peak.remove(&peak);
+        }
+    }
 }
 
 impl TaskQueues {
@@ -165,9 +186,11 @@ impl TaskQueues {
                 continue;
             };
             if m.special {
-                shard.special.get_mut(k).insert((seat, task));
+                if shard.special.get_mut(k).insert((seat, task)) {
+                    add_peak(shard.special_by_peak.get_mut(k), m.peak);
+                }
             } else if shard.plain.get_mut(k).insert((seat, task, m.peak)) {
-                *shard.plain_by_peak.get_mut(k).entry(m.peak).or_insert(0) += 1;
+                add_peak(shard.plain_by_peak.get_mut(k), m.peak);
             }
         }
     }
@@ -184,15 +207,11 @@ impl TaskQueues {
                 continue;
             };
             if m.special {
-                shard.special.get_mut(k).remove(&(seat, task));
-            } else if shard.plain.get_mut(k).remove(&(seat, task, m.peak)) {
-                let by_peak = shard.plain_by_peak.get_mut(k);
-                if let Some(count) = by_peak.get_mut(&m.peak) {
-                    *count -= 1;
-                    if *count == 0 {
-                        by_peak.remove(&m.peak);
-                    }
+                if shard.special.get_mut(k).remove(&(seat, task)) {
+                    sub_peak(shard.special_by_peak.get_mut(k), m.peak);
                 }
+            } else if shard.plain.get_mut(k).remove(&(seat, task, m.peak)) {
+                sub_peak(shard.plain_by_peak.get_mut(k), m.peak);
             }
         }
     }
@@ -288,6 +307,14 @@ impl TaskQueues {
             .and_then(|s| s.plain_by_peak.get(kind).keys().next().copied())
     }
 
+    /// Smallest live special peak estimate in one tenant's slice of a
+    /// queue, if any.
+    pub(crate) fn special_floor(&self, kind: ResourceKind, tenant: TenantId) -> Option<ByteSize> {
+        self.shards
+            .get(tenant.index())
+            .and_then(|s| s.special_by_peak.get(kind).keys().next().copied())
+    }
+
     /// Number of live pending tasks.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -306,7 +333,8 @@ pub struct TaskManager {
     /// Pending tasks per resource kind.
     pub queues: TaskQueues,
     /// Successful durations per stage template (resource-straggler
-    /// thresholds).
+    /// thresholds), each kept sorted ascending so the median is two
+    /// index reads.
     finished_secs: HashMap<Sym, Vec<f64>>,
     /// Stage templates observed using a GPU (§III-B2: one GPU sighting
     /// marks the whole stage).
@@ -322,12 +350,6 @@ pub struct TaskManager {
     /// Memo of cold-DB scoped keys (`jN@template`), so the ablation path
     /// formats and interns each `(job, template)` pair once.
     scope_cache: RefCell<HashMap<(JobId, Sym), Sym>>,
-    /// Memoised per-template median (value + sample count it was computed
-    /// at). The straggler scan asks for the median once per running task
-    /// per contended node per round; recomputing it from scratch each time
-    /// clones and sorts the whole duration vector. The memo keeps
-    /// the answer until a new sample lands. Keyed by the *scoped* template.
-    median_cache: RefCell<HashMap<Sym, (usize, f64)>>,
     /// What each ingested task's classification was derived from, so a
     /// DB write to its key can recompute it without the view in hand.
     class_meta: HashMap<TaskRef, ClassMeta>,
@@ -358,7 +380,6 @@ impl TaskManager {
             job_of_stage: HashMap::new(),
             job_tenants: Vec::new(),
             scope_cache: RefCell::new(HashMap::new()),
-            median_cache: RefCell::new(HashMap::new()),
             class_meta: HashMap::new(),
             key_index: HashMap::new(),
         }
@@ -436,22 +457,21 @@ impl TaskManager {
         self.job_of_stage.clear();
         self.job_tenants.clear();
         self.scope_cache.borrow_mut().clear();
-        self.median_cache.borrow_mut().clear();
         self.class_meta.clear();
         self.key_index.clear();
     }
 
     /// Wipe the characteristics database (Fig. 5 protocol).
-    pub fn clear_db(&self) {
+    pub fn clear_db(&mut self) {
         self.db.clear();
     }
 
     /// DB lookup for a pending task.
-    pub fn lookup(&self, view: &PendingTaskView) -> Option<TaskChar> {
+    pub fn lookup(&self, view: &PendingTaskView) -> Option<&TaskChar> {
         if !self.cfg.use_task_db {
             return None;
         }
-        self.db.read(&TaskKey::new(
+        self.db.get(&TaskKey::new(
             self.scope(view.task.stage, view.template_key),
             view.task.index,
         ))
@@ -459,12 +479,12 @@ impl TaskManager {
 
     /// Which queues a submitted task belongs in.
     pub fn queues_for(&self, view: &PendingTaskView) -> Vec<ResourceKind> {
-        self.queues_for_char(&self.lookup(view), view)
+        self.queues_for_char(self.lookup(view), view)
     }
 
     fn queues_for_char(
         &self,
-        char: &Option<TaskChar>,
+        char: Option<&TaskChar>,
         view: &PendingTaskView,
     ) -> Vec<ResourceKind> {
         if let Some(char) = char {
@@ -492,21 +512,33 @@ impl TaskManager {
     /// record. *Special* iff it carries placement preferences or a raw
     /// best-executor lock — raw deliberately: lock-target liveness is
     /// filtered at probe time, so node deaths never reclassify anything.
-    /// The peak mirrors the dispatcher's admission estimate exactly.
-    fn class_of(&self, char: &Option<TaskChar>, view: &PendingTaskView) -> (bool, ByteSize) {
-        let raw_lock = char
-            .as_ref()
-            .is_some_and(|c| c.history_size() == ResourceKind::COUNT && c.best.is_some());
+    /// The peak is also the dispatcher's admission estimate.
+    pub(crate) fn class_of(
+        &self,
+        char: Option<&TaskChar>,
+        view: &PendingTaskView,
+    ) -> (bool, ByteSize) {
+        let (raw_lock, char_peak) = self.char_class(char);
         let special = !view.process_nodes.is_empty() || !view.node_local.is_empty() || raw_lock;
         let peak = if view.peak_mem_hint > ByteSize::ZERO {
             view.peak_mem_hint
         } else {
-            match char {
-                Some(c) if c.peak_mem > ByteSize::ZERO => c.peak_mem,
-                _ => self.cfg.unknown_task_mem_estimate,
-            }
+            char_peak
         };
         (special, peak)
+    }
+
+    /// The DB record's share of a classification: `(raw best-executor
+    /// lock, observed peak or the default estimate)`. A write that leaves
+    /// this pair alone cannot reclassify any task under its key.
+    fn char_class(&self, char: Option<&TaskChar>) -> (bool, ByteSize) {
+        let raw_lock =
+            char.is_some_and(|c| c.history_size() == ResourceKind::COUNT && c.best.is_some());
+        let peak = match char {
+            Some(c) if c.peak_mem > ByteSize::ZERO => c.peak_mem,
+            _ => self.cfg.unknown_task_mem_estimate,
+        };
+        (raw_lock, peak)
     }
 
     fn note_class_meta(&mut self, view: &PendingTaskView) {
@@ -531,8 +563,8 @@ impl TaskManager {
             .copied()
             .unwrap_or(TenantId(0));
         let char = self.lookup(view);
-        let kinds = self.queues_for_char(&char, view);
-        let (special, peak) = self.class_of(&char, view);
+        let kinds = self.queues_for_char(char, view);
+        let (special, peak) = self.class_of(char, view);
         self.queues
             .enqueue(view.task, &kinds, tenant, special, peak);
         self.note_class_meta(view);
@@ -559,8 +591,7 @@ impl TaskManager {
             };
             let view = &pending[i];
             if self.queues.contains(task) {
-                let char = self.lookup(view);
-                let (special, peak) = self.class_of(&char, view);
+                let (special, peak) = self.class_of(self.lookup(view), view);
                 self.queues.reclassify(view.task, special, peak);
                 self.note_class_meta(view);
             } else {
@@ -573,16 +604,18 @@ impl TaskManager {
     /// its current view and DB record give — the contract
     /// [`TaskManager::ingest_fresh`] relies on its caller to keep.
     pub fn is_current(&self, view: &PendingTaskView) -> bool {
-        self.queues.class(&view.task) == Some(self.class_of(&self.lookup(view), view))
+        self.queues.class(&view.task) == Some(self.class_of(self.lookup(view), view))
     }
 
-    /// A DB write landed on `key`: recompute the classification of every
-    /// still-queued task characterising under it (the lock or observed
-    /// peak may have appeared / changed). The DB is read-your-writes, so
-    /// doing this at the record call site keeps the persistent split
-    /// exactly as fresh as a per-round rebuild would see it.
-    fn reclassify_key(&mut self, key: TaskKey) {
-        if !self.cfg.use_task_db {
+    /// A DB write landed on `key`, whose [`TaskManager::char_class`] was
+    /// `before` it: recompute the classification of every still-queued
+    /// task characterising under it (the lock or observed peak may have
+    /// appeared / changed). Doing this at the record call site keeps the
+    /// persistent split exactly as fresh as a per-round rebuild would see
+    /// it; a write that moved neither the lock nor the peak is a no-op.
+    fn reclassify_key(&mut self, key: TaskKey, before: (bool, ByteSize)) {
+        let (raw_lock, char_peak) = self.char_class(self.db.get(&key));
+        if (raw_lock, char_peak) == before {
             return;
         }
         let Some(tasks) = self.key_index.get(&key) else {
@@ -593,17 +626,6 @@ impl TaskManager {
             .copied()
             .filter(|t| self.queues.contains(t))
             .collect();
-        if queued.is_empty() {
-            return;
-        }
-        let char = self.db.read(&key);
-        let raw_lock = char
-            .as_ref()
-            .is_some_and(|c| c.history_size() == ResourceKind::COUNT && c.best.is_some());
-        let char_peak = match &char {
-            Some(c) if c.peak_mem > ByteSize::ZERO => c.peak_mem,
-            _ => self.cfg.unknown_task_mem_estimate,
-        };
         for t in queued {
             let Some(meta) = self.class_meta.get(&t) else {
                 continue;
@@ -627,20 +649,23 @@ impl TaskManager {
             self.gpu_stages.insert(scoped);
         }
         let bottleneck = classify(record, &self.cfg, self.smallest_executor);
+        let secs = record.duration().as_secs_f64();
         if self.cfg.use_task_db {
             let key = TaskKey::new(scoped, record.task.index);
-            let node = record.node;
-            let secs = record.duration().as_secs_f64();
-            let peak = record.peak_mem;
-            let gpu = record.used_gpu;
-            self.db
-                .update(key, |c| c.observe(bottleneck, node, secs, peak, gpu));
-            self.reclassify_key(key);
+            let before = self.char_class(self.db.get(&key));
+            self.db.update(key, |c| {
+                c.observe(
+                    bottleneck,
+                    record.node,
+                    secs,
+                    record.peak_mem,
+                    record.used_gpu,
+                )
+            });
+            self.reclassify_key(key, before);
         }
-        self.finished_secs
-            .entry(scoped)
-            .or_default()
-            .push(record.duration().as_secs_f64());
+        let durations = self.finished_secs.entry(scoped).or_default();
+        durations.insert(durations.partition_point(|&d| d <= secs), secs);
     }
 
     /// A failed attempt still teaches us its memory footprint (it is what
@@ -657,34 +682,26 @@ impl TaskManager {
             return;
         }
         let key = TaskKey::new(self.scope(stage, template_key), index);
+        let before = self.char_class(self.db.get(&key));
         self.db.update(key, |c| {
             c.observe(ResourceKind::Mem, node, f64::MAX, peak, false);
         });
-        self.reclassify_key(key);
+        self.reclassify_key(key, before);
     }
 
-    /// Median successful duration for a stage template, if any finished.
-    ///
-    /// Memoised per scoped template and only recomputed when the sample
-    /// count changed — bit-identical to the from-scratch computation.
+    /// Median successful duration for a stage template, if any finished:
+    /// read off the sorted history in `O(1)`, bit-identical to
+    /// [`rupam_simcore::stats::median`] over the samples.
     pub fn median_duration_secs(&self, stage: StageId, template_key: Sym) -> Option<f64> {
-        let scoped = self.scope(stage, template_key);
-        let v = self.finished_secs.get(&scoped).filter(|v| !v.is_empty())?;
-        let mut cache = self.median_cache.borrow_mut();
-        match cache.get(&scoped) {
-            Some(&(len, m)) if len == v.len() => Some(m),
-            _ => {
-                let m = rupam_simcore::stats::median(v);
-                cache.insert(scoped, (v.len(), m));
-                Some(m)
-            }
-        }
+        let v = self.finished_secs.get(&self.scope(stage, template_key))?;
+        (!v.is_empty()).then(|| rupam_simcore::stats::quantile_sorted(v, 0.5))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rupam_cluster::NodeId;
     use rupam_dag::app::StageId;
     use rupam_dag::Locality;
@@ -998,6 +1015,98 @@ mod tests {
             Some(20.0)
         );
         assert_eq!(tm.median_duration_secs(StageId(0), "unknown".into()), None);
+    }
+
+    #[test]
+    fn median_reads_the_sorted_history_whatever_the_arrival_order() {
+        let mut tm = TaskManager::new(cfg());
+        for secs in [30, 10, 20, 50, 40] {
+            tm.record_finish(&record(secs, 0, 0, 1, false));
+        }
+        assert_eq!(
+            tm.median_duration_secs(StageId(0), "w/s".into()),
+            Some(30.0)
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn sorted_insert_median_equals_stats_median(
+            millis in prop::collection::vec(0u64..5_000, 1..48),
+            dup_every in 1usize..6,
+        ) {
+            let mut tm = TaskManager::new(cfg());
+            let mut samples = Vec::new();
+            for (i, &ms) in millis.iter().enumerate() {
+                // repeat an earlier duration now and then: ties must sit
+                // where a full sort would put them
+                let ms = if i % dup_every == 0 { millis[i / 2] } else { ms };
+                let mut r = record(0, 0, 0, 1, false);
+                r.finished_at = SimTime::from_secs_f64(ms as f64 / 1000.0);
+                samples.push(r.duration().as_secs_f64());
+                tm.record_finish(&r);
+                let got = tm.median_duration_secs(StageId(0), "w/s".into());
+                let want = rupam_simcore::stats::median(&samples);
+                prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_lock_earned_without_a_peak_change_reclassifies_queued_siblings() {
+        let mut tm = TaskManager::new(cfg());
+        let view = pview(0, 0, StageKind::ShuffleMap, false);
+        tm.ingest_fresh(std::slice::from_ref(&view), &[view.task]);
+        // a sibling outside the queues shares the DB key (w/s, 0) and
+        // observes four bottlenecks at one peak...
+        let sibling = |mut r: TaskRecord| {
+            r.task.stage = StageId(7);
+            r
+        };
+        for r in [
+            record(10, 1, 1, 1, false),
+            record(2, 6, 1, 1, false),
+            record(1, 2, 6, 1, false),
+            record(10, 1, 1, 1, true),
+        ] {
+            tm.record_finish(&sibling(r));
+        }
+        assert_eq!(tm.queues.class(&view.task), Some((false, ByteSize::gib(1))));
+        // ...then a memory death completes the history: the raw lock
+        // appears while the observed peak stays put
+        tm.record_memory_failure(StageId(7), "w/s".into(), 0, ByteSize::ZERO, NodeId(2));
+        assert!(tm.is_current(&view));
+        assert_eq!(tm.queues.class(&view.task), Some((true, ByteSize::gib(1))));
+    }
+
+    #[test]
+    fn special_floor_tracks_the_special_side() {
+        let mut q = TaskQueues::new();
+        let cpu = ResourceKind::Cpu;
+        let t = |i| TaskRef {
+            stage: StageId(0),
+            index: i,
+        };
+        for (i, gib) in [(0, 4), (1, 1), (2, 1)] {
+            q.enqueue(t(i), &[cpu], TenantId(0), true, ByteSize::gib(gib));
+        }
+        q.enqueue(t(3), &[cpu], TenantId(0), false, ByteSize::mib(512));
+        assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(1)));
+        assert_eq!(q.special_floor(cpu, TenantId(1)), None, "unknown tenant");
+        q.remove(&t(1));
+        assert_eq!(
+            q.special_floor(cpu, TenantId(0)),
+            Some(ByteSize::gib(1)),
+            "one of two equal peaks left"
+        );
+        q.remove(&t(2));
+        assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(4)));
+        // a peak change and a move to the plain side both unlink first
+        q.reclassify(t(0), true, ByteSize::gib(2));
+        assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(2)));
+        q.reclassify(t(0), false, ByteSize::gib(2));
+        assert_eq!(q.special_floor(cpu, TenantId(0)), None);
+        assert_eq!(q.plain_floor(cpu, TenantId(0)), Some(ByteSize::mib(512)));
     }
 
     #[test]

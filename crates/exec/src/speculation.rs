@@ -37,6 +37,11 @@ pub fn find_speculatable(
     if !cfg.enabled || stage.finished_secs.is_empty() || stage.total_tasks == 0 {
         return Vec::new();
     }
+    // only an original without a copy can be flagged: with none running
+    // (a finished stage, say) skip the median's copy and sort
+    if stage.running.iter().all(|(_, _, has_copy)| *has_copy) {
+        return Vec::new();
+    }
     let done_fraction = stage.finished_secs.len() as f64 / stage.total_tasks as f64;
     if done_fraction < cfg.quantile {
         return Vec::new();
@@ -150,6 +155,22 @@ mod tests {
             running: &running,
         };
         assert!(find_speculatable(&cfg(), SimTime::from_secs_f64(100.0), &stage).is_empty());
+    }
+
+    #[test]
+    fn copyless_original_flagged_beside_copied_ones() {
+        let finished = [10.0; 6];
+        let running = [
+            (task(6), SimTime::ZERO, true),
+            (task(7), SimTime::ZERO, false),
+        ];
+        let stage = StageProgress {
+            total_tasks: 8,
+            finished_secs: &finished,
+            running: &running,
+        };
+        let out = find_speculatable(&cfg(), SimTime::from_secs_f64(100.0), &stage);
+        assert_eq!(out, vec![task(7)]);
     }
 
     #[test]

@@ -57,6 +57,14 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    quantile_sorted(&sorted, q)
+}
+
+/// [`quantile`] over a slice already sorted ascending, without the copy
+/// and sort: bit-identical to `quantile` of any permutation of `sorted`.
+/// Panics on an empty slice.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of empty slice");
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
