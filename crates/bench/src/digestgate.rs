@@ -6,8 +6,8 @@
 //! trace digest. A second block pins RUPAM configurations that take
 //! dedicated dispatcher paths: tenant-scoped allocation (weighted-fair,
 //! DRF, and weighted-fair with a quota under the fault script), gang
-//! admission, a homogeneous cluster, the multi-rack 64- and 256-node
-//! shapes whose node rankings are bound-pruned across rack shards, and
+//! admission, a homogeneous cluster, the 64- and 256-node mixes whose
+//! long tie classes exercise the node ranking's bound-pruned pick, and
 //! a second chaos seed across three workloads. A third block pins the
 //! elastic spot tier: CI's elastic smoke stream with and without the
 //! fault script, the contended spot-tail burst under the `greedy`
@@ -314,8 +314,8 @@ fn compute_rupam_paths(
         );
         out.push((format!("suite/homo8/{}/RUPAM", w.short()), digest(obs)));
     }
-    // the sharded-equivalence shapes: every workload on 64 nodes, the
-    // two shuffle-heavy ones on 256
+    // the large mixes: every workload on 64 nodes, the two
+    // shuffle-heavy ones on 256
     for (shape, racked, workloads) in [
         (
             "hydra64",

@@ -26,4 +26,4 @@ pub mod topology;
 pub use monitor::{HeartbeatSnapshot, NodeMetrics, ResourceMonitor};
 pub use node::{DiskSpec, NodeId, NodeSpec, NodeTier};
 pub use resources::ResourceKind;
-pub use topology::{ClusterSpec, ShardMap};
+pub use topology::ClusterSpec;

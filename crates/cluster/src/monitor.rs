@@ -136,8 +136,8 @@ impl ResourceMonitor {
     /// heartbeat *storm* produces. Semantically identical to calling
     /// [`ResourceMonitor::ingest`] once per snapshot in order; batching
     /// lets the driver hand the monitor one slice per round instead of
-    /// one call per node, so downstream consumers (shard refresh) see a
-    /// single coherent patch set.
+    /// one call per node, so downstream consumers (the scheduler's
+    /// node-ranking refresh) see a single coherent patch set.
     pub fn ingest_batch(&mut self, batch: &[HeartbeatSnapshot]) {
         for &hb in batch {
             self.ingest(hb);

@@ -229,85 +229,6 @@ impl ClusterSpec {
     }
 }
 
-/// A partition of the cluster's nodes into disjoint shards, used to
-/// parallelise offer scoring: each shard owns a contiguous subset of the
-/// node rankings and can be refreshed independently.
-///
-/// Sharding policy (`shard_count`):
-/// * `0` — auto: one shard per rack when the cluster spans more than one
-///   rack, otherwise a single shard (a rack is the natural locality and
-///   failure domain, matching the paper's per-rack collectors);
-/// * `n > 0` — exactly `min(n, nodes)` fixed-size node partitions,
-///   ignoring rack boundaries (for benchmarking shard-count sensitivity).
-#[derive(Clone, Debug)]
-pub struct ShardMap {
-    members: Vec<Vec<NodeId>>,
-    shard_of: Vec<u32>,
-}
-
-impl ShardMap {
-    /// Build the shard map for `cluster` under the given policy.
-    pub fn build(cluster: &ClusterSpec, shard_count: usize) -> Self {
-        let n = cluster.len();
-        let mut members: Vec<Vec<NodeId>>;
-        if shard_count == 0 {
-            let racks = cluster.racks();
-            let shards = if racks > 1 { racks } else { 1 };
-            members = vec![Vec::new(); shards];
-            for (id, spec) in cluster.iter() {
-                let s = if shards == 1 { 0 } else { spec.rack };
-                members[s].push(id);
-            }
-            // a rack index with no nodes would leave an empty shard —
-            // drop it so every shard is non-empty
-            members.retain(|m| !m.is_empty());
-        } else {
-            let shards = shard_count.min(n);
-            let base = n / shards;
-            let extra = n % shards; // first `extra` shards get one more
-            members = Vec::with_capacity(shards);
-            let mut next = 0usize;
-            for s in 0..shards {
-                let size = base + usize::from(s < extra);
-                members.push((next..next + size).map(NodeId).collect());
-                next += size;
-            }
-        }
-        let mut shard_of = vec![0u32; n];
-        for (s, m) in members.iter().enumerate() {
-            for &id in m {
-                shard_of[id.index()] = s as u32;
-            }
-        }
-        ShardMap { members, shard_of }
-    }
-
-    /// Number of shards (≥ 1).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True iff there are no shards (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        self.shard_of[node.index()] as usize
-    }
-
-    /// Node ids owned by `shard`, in ascending id order.
-    pub fn members(&self, shard: usize) -> &[NodeId] {
-        &self.members[shard]
-    }
-
-    /// Total nodes covered (always the cluster size).
-    pub fn total_nodes(&self) -> usize {
-        self.shard_of.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,60 +334,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_cluster_panics() {
         ClusterSpec::new(vec![]);
-    }
-
-    #[test]
-    fn shard_map_auto_follows_racks() {
-        let c = ClusterSpec::hydra();
-        let m = ShardMap::build(&c, 0);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.total_nodes(), 12);
-        for (id, spec) in c.iter() {
-            let s = m.shard_of(id);
-            assert!(m.members(s).contains(&id));
-            // auto shards are rack-aligned
-            for &peer in m.members(s) {
-                assert_eq!(c.node(peer).rack, spec.rack);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_map_single_rack_collapses_to_one_shard() {
-        let c = ClusterSpec::two_node_motivation();
-        let m = ShardMap::build(&c, 0);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.members(0).len(), 2);
-    }
-
-    #[test]
-    fn shard_map_fixed_partitions_cover_all_nodes() {
-        let c = ClusterSpec::homogeneous(10);
-        let m = ShardMap::build(&c, 3);
-        assert_eq!(m.len(), 3);
-        let sizes: Vec<usize> = (0..m.len()).map(|s| m.members(s).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        // balanced within one node
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        // disjoint + consistent with shard_of
-        let mut seen = [false; 10];
-        for s in 0..m.len() {
-            for &id in m.members(s) {
-                assert!(!seen[id.index()]);
-                seen[id.index()] = true;
-                assert_eq!(m.shard_of(id), s);
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn shard_map_clamps_oversized_count() {
-        let c = ClusterSpec::homogeneous(3);
-        let m = ShardMap::build(&c, 8);
-        assert_eq!(m.len(), 3);
-        for s in 0..m.len() {
-            assert_eq!(m.members(s).len(), 1);
-        }
     }
 }

@@ -71,13 +71,6 @@ pub struct RupamConfig {
     /// the stream job that produced it — the cold-DB control where a new
     /// tenant learns nothing from its predecessors.
     pub cross_job_db: bool,
-    /// How the persistent node-queue cache is sharded for parallel
-    /// offer scoring: `0` = auto (one shard per rack when the cluster has
-    /// more than one rack, otherwise unsharded), `n` = exactly
-    /// `min(n, nodes)` fixed-size partitions. Decision-identical for
-    /// every value — sharding changes how the global ranking is stored
-    /// and scanned, never what it says.
-    pub shard_count: usize,
     /// How the per-round allocation session orders tenants before the
     /// Dispatcher consumes their candidate slices. The default,
     /// [`AllocationPolicy::FifoBaseline`], keeps the single shared
@@ -126,7 +119,6 @@ impl Default for RupamConfig {
             straggler_handling: true,
             spot_risk_penalty: 1.0,
             cross_job_db: true,
-            shard_count: 0,
             allocation: AllocationPolicy::FifoBaseline,
             tenants: Vec::new(),
             gang_admission: false,

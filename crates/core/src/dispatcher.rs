@@ -31,7 +31,7 @@ use rupam_exec::scheduler::{Command, NodeView, OfferInput, PendingTaskView};
 use rupam_metrics::trace::LaunchReason;
 
 use crate::config::RupamConfig;
-use crate::rm::{NodeQueueCache, Rank, ShardedOrder};
+use crate::rm::NodeQueueCache;
 use crate::tm::TaskManager;
 
 /// Per-node admission bookkeeping within one offer round (commands have
@@ -48,8 +48,8 @@ struct Claims {
 
 /// Algorithm 2 over one offer snapshot.
 ///
-/// The Resource Queues come from the scheduler's persistent sharded
-/// [`NodeQueueCache`]; the Task Queues are the TM's persistent
+/// The Resource Queues come from the scheduler's persistent
+/// [`NodeQueueCache`] (one ranking per resource kind); the Task Queues are the TM's persistent
 /// per-tenant class split (see [`crate::tm::TaskQueues`]), read in the
 /// tenant scope of the current matching pass. Both are kept in sync
 /// with the offer snapshots by their owners, so a round does no
@@ -276,54 +276,43 @@ impl<'a> Dispatcher<'a> {
     ///   claim and a large burst waterfills down the tiers instead of
     ///   starving the weaker nodes behind the head.
     ///
-    /// The cached [`ShardedOrder`] carries, per shard and queue
-    /// position, an upper bound on any later node's score — so the scan
-    /// skips whole shards whose top bound cannot beat the incumbent and
-    /// stops inside a shard as soon as the incumbent strictly beats the
-    /// position bound (strictly: a later node may still tie the score and
-    /// win the utilisation/load/rank tiebreak). The winner is the
-    /// lexicographic minimum of `(−score, util, load, rank)` over
-    /// admissible nodes, where [`Rank`] is the flat queue order — so the
-    /// shard-merged pick equals a full first-wins scan of the flat queue.
+    /// The cached ranking carries, per queue position, an upper bound on
+    /// any later node's score, so the scan stops as soon as the incumbent
+    /// strictly beats the position bound (strictly: a later node may
+    /// still tie the score and win the utilisation/load tiebreak). The
+    /// winner is the lexicographic minimum of `(−score, util, load)` over
+    /// admissible nodes; the scan runs in queue order and only a strictly
+    /// better key replaces the incumbent, so a full tie keeps the earliest
+    /// node — the pick equals a full first-wins scan of the queue.
     fn pick_node(
         &self,
-        order: &ShardedOrder<'_>,
+        nodes: &NodeQueueCache,
         queue_kind: ResourceKind,
         floor: Option<ByteSize>,
     ) -> Option<NodeId> {
-        let mut best: Option<(NodeId, f64, f64, usize, Rank)> = None;
-        for shard in 0..order.shard_count() {
-            if let Some((_, s, _, _, _)) = best {
-                if s > order.top_bound(shard, queue_kind) {
-                    continue;
+        let mut best: Option<(NodeId, f64, f64, usize)> = None;
+        for (i, r) in nodes.ranks(queue_kind).iter().enumerate() {
+            if let Some((_, s, _, _)) = best {
+                if s > nodes.bound(queue_kind, i) {
+                    break;
                 }
             }
-            for (i, r) in order.ranks(shard, queue_kind).iter().enumerate() {
-                if let Some((_, s, _, _, _)) = best {
-                    if s > order.bound(shard, queue_kind, i) {
-                        break;
-                    }
+            let n = r.node;
+            if !self.has_room(n, queue_kind, floor) {
+                continue;
+            }
+            let (score, util, load) = self.pick_key(n, queue_kind);
+            let better = match best {
+                None => true,
+                Some((_, s, u, l)) => {
+                    score > s || (score == s && (util < u || (util == u && load < l)))
                 }
-                let n = r.node;
-                if !self.has_room(n, queue_kind, floor) {
-                    continue;
-                }
-                let (score, util, load) = self.pick_key(n, queue_kind);
-                let better = match &best {
-                    None => true,
-                    Some((_, s, u, l, br)) => {
-                        score > *s
-                            || (score == *s
-                                && (util < *u
-                                    || (util == *u && (load < *l || (load == *l && r < br)))))
-                    }
-                };
-                if better {
-                    best = Some((n, score, util, load, *r));
-                }
+            };
+            if better {
+                best = Some((n, score, util, load));
             }
         }
-        best.map(|(n, _, _, _, _)| n)
+        best.map(|(n, _, _, _)| n)
     }
 
     /// The pick score + tiebreak fields of one candidate node.
@@ -332,8 +321,8 @@ impl<'a> Dispatcher<'a> {
     /// preemption risk (`1 − min(1, spot_risk_penalty × risk)`), so a
     /// cheap-but-churning node loses ties against a safe peer and only
     /// wins when its raw capability margin outweighs the expected rework.
-    /// The discount only ever shrinks a score, so the sharded queue's
-    /// suffix-max bounds (computed risk-blind) remain sound upper bounds.
+    /// The discount only ever shrinks a score, so the ranking's suffix-max
+    /// bounds (computed risk-blind) remain sound upper bounds.
     fn pick_key(&self, n: NodeId, queue_kind: ResourceKind) -> (f64, f64, usize) {
         let util = self.utilization_with_claims(n, queue_kind).clamp(0.0, 1.0);
         let cap = self.input.cluster.node(n).capability(queue_kind);
@@ -512,8 +501,8 @@ impl<'a> Dispatcher<'a> {
         } else {
             Vec::new()
         };
-        cache.materialize_dirty(self.input.cluster);
-        let nodes = cache.sharded_order();
+        cache.materialize(self.input.cluster);
+        let nodes: &NodeQueueCache = cache;
         // every outer pass serves each tenant one round-robin cycle over
         // the resource kinds, so a burst from the first tenant cannot
         // drain the whole cluster before later tenants see an offer.
@@ -523,7 +512,7 @@ impl<'a> Dispatcher<'a> {
             let mut launched_any = false;
             for &t in order {
                 self.tenant = t;
-                launched_any |= self.run_pass(tm, &nodes, &mut cmds);
+                launched_any |= self.run_pass(tm, nodes, &mut cmds);
             }
             if !launched_any {
                 break;
@@ -649,7 +638,7 @@ impl<'a> Dispatcher<'a> {
     fn run_pass(
         &mut self,
         tm: &mut TaskManager,
-        nodes: &ShardedOrder<'_>,
+        nodes: &NodeQueueCache,
         cmds: &mut Vec<Command>,
     ) -> bool {
         let mut launched_any = false;
@@ -758,7 +747,7 @@ impl<'a> Dispatcher<'a> {
 /// per-entry tenant filter, and a DB read per probe. It shares the
 /// production admission ledger (claims, room checks, pick keys, gang
 /// planning), so comparing the two isolates the persistent task split,
-/// its memory floors and the sharded node ranking.
+/// its memory floors and the persistent, bound-pruned node ranking.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -1545,8 +1534,8 @@ mod tests {
             out
         }
 
-        /// The paper cluster plus the multi-rack shapes whose rankings
-        /// are bound-pruned across rack shards.
+        /// The paper cluster plus the 64- and 256-node shapes, whose long
+        /// tie classes exercise the ranking's bound-pruned scan.
         fn cluster(shape: usize) -> ClusterSpec {
             match shape {
                 0 => ClusterSpec::hydra(),

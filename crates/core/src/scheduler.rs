@@ -89,7 +89,7 @@ impl RupamScheduler {
             straggler: StragglerState::new(0),
             stage_templates: HashMap::new(),
             min_node_mem: ByteSize::gib(16),
-            node_cache: NodeQueueCache::with_shards(cfg.shard_count),
+            node_cache: NodeQueueCache::new(),
             preempt: PreemptState::new(cfg.tenants.len()),
             cfg,
             name,

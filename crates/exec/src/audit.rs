@@ -7,9 +7,11 @@
 //! on a node that cannot hold it) *at decision time*, instead of waiting
 //! for the simulated OOM to surface it minutes of sim-time later.
 //!
-//! Which checks apply to a launch depends on the [`LaunchReason`] it
-//! carries: only reasons that *claim* to have verified memory feasibility
-//! ([`LaunchReason::claims_memory_checked`]) are held to it, so stock
+//! Which checks apply to a launch depends on the
+//! [`LaunchReason`](rupam_metrics::trace::LaunchReason) it carries: only
+//! reasons that *claim* to have verified memory feasibility
+//! ([`LaunchReason::claims_memory_checked`](rupam_metrics::trace::LaunchReason::claims_memory_checked))
+//! are held to it, so stock
 //! Spark's memory-oblivious launches are exempt by design while a RUPAM
 //! queue-match that violates its own rule is flagged.
 

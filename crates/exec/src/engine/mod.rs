@@ -17,13 +17,13 @@
 //! capacity controller, drain notices and reclaims). Structurally the
 //! engine is split around two seams:
 //!
-//! * **[`state`]** — one authoritative `ClusterState` (nodes, executors,
-//!   in-flight attempts) owned by the core loop ([`driver`]) beside the
+//! * **`state`** — one authoritative `ClusterState` (nodes, executors,
+//!   in-flight attempts) owned by the core loop (`driver`) beside the
 //!   control plane, and mutated only by the subsystem modules:
-//!   [`lifecycle`] (launch/finish/fail/race), [`heartbeat`] (detector
-//!   beacons + livelock guard), [`recovery`] (chaos faults, drain
-//!   reclaims, OOM), [`speculation`] (straggler flagging), [`caching`]
-//!   (cache scoping + the cache's dirty marks) and [`offers`] (the
+//!   `lifecycle` (launch/finish/fail/race), `heartbeat` (detector
+//!   beacons + livelock guard), `recovery` (chaos faults, drain
+//!   reclaims, OOM), `speculation` (straggler flagging), `caching`
+//!   (cache scoping + the cache's dirty marks) and `offers` (the
 //!   engine's [`ControlHost`](crate::control::ControlHost) side + round).
 //! * **[`events`]** — a typed, deterministically-ordered
 //!   [`EngineEvent`] bus through which everything that *observes* the
@@ -82,7 +82,7 @@ pub use events::{
 pub(crate) const WORK_EPS: f64 = 1e-7;
 
 /// Typed failures of the core loop. These are *graceful* ends: callers
-/// ([`run_sim`]) convert them into an aborted [`RunReport`] instead of
+/// (`run_sim`) convert them into an aborted [`RunReport`] instead of
 /// panicking mid-simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineError {

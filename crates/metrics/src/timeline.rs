@@ -1,6 +1,6 @@
 //! Per-node execution timelines.
 //!
-//! Renders a run's [`TaskRecord`]s as an ASCII Gantt view: one row per
+//! Renders a run's [`TaskRecord`](crate::record::TaskRecord)s as an ASCII Gantt view: one row per
 //! node, time bucketed across the terminal width, each cell showing the
 //! number of concurrently running attempts (`.` idle, `1`-`9`, then `+`).
 //! Failures leave marks (`x` = memory failure, `!` = executor loss

@@ -9,7 +9,7 @@
 //!
 //! The central design bet is the **replay oracle**: the live driver
 //! logs every external input with the timestamp it was sequenced at,
-//! and [`replay`] re-runs the identical driver over a deterministic
+//! and [`replay()`] re-runs the identical driver over a deterministic
 //! [`Calendar`] pre-loaded with that log. Because the driver's state
 //! transitions depend only on the popped event order — and the two
 //! sources guarantee the same order for the same log — the decision

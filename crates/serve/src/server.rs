@@ -1,4 +1,4 @@
-//! The serve-mode server: wires a [`ServeDriver`] on a wall-clock event
+//! The serve-mode server: wires a `ServeDriver` on a wall-clock event
 //! source to a fleet of worker-agent threads and a client handle.
 //!
 //! ```text
@@ -12,8 +12,6 @@
 //! keeps the boundary RPC-shaped. The driver logs every external event
 //! it sequences, and [`ServerHandle::wait`] hands that log back so
 //! callers can run the replay oracle.
-//!
-//! [`ServeDriver`]: crate::driver::ServeDriver
 
 use std::sync::mpsc::{channel, SyncSender};
 use std::sync::Arc;

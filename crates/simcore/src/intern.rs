@@ -11,7 +11,7 @@
 //! not deterministic across runs (the bench harness interns from
 //! parallel worker threads). Ids must therefore never influence
 //! scheduling decisions or rendered output. That is why [`Ord`] and
-//! [`Display`] go through the resolved string — only `Eq`/`Hash` (which
+//! [`Display`](std::fmt::Display) go through the resolved string — only `Eq`/`Hash` (which
 //! are order-insensitive) use the raw id.
 
 use std::collections::HashMap;
