@@ -49,9 +49,10 @@ struct Claims {
 /// Algorithm 2 over one offer snapshot.
 ///
 /// The Resource Queues come from the scheduler's persistent
-/// [`NodeQueueCache`] (one ranking per resource kind); the Task Queues are the TM's persistent
-/// per-tenant class split (see [`crate::tm::TaskQueues`]), read in the
-/// tenant scope of the current matching pass. Both are kept in sync
+/// [`NodeQueueCache`], one ranking per resource kind; the Task Queues
+/// are the TM's persistent per-tenant class split (see
+/// [`crate::tm::TaskQueues`]), read in the tenant scope of the current
+/// matching pass. Both are kept in sync
 /// with the offer snapshots by their owners, so a round does no
 /// per-queue rebuild work at all.
 pub struct Dispatcher<'a> {
