@@ -18,8 +18,7 @@
 //! over-commits nodes whose *other* resources are idle (§III-C2), bounded
 //! by per-kind utilisation ceilings and an overall overcommit factor.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rupam_simcore::units::ByteSize;
 
@@ -59,11 +58,6 @@ pub struct Dispatcher<'a> {
     cfg: &'a RupamConfig,
     input: &'a OfferInput<'a>,
     claims: Vec<Claims>,
-    /// One DB round-trip per task per round — `(peak estimate, live
-    /// best-executor lock)` — instead of one per (task, candidate-node)
-    /// probe. The DB is not written during a round, so the memo can
-    /// never go stale.
-    chars: RefCell<HashMap<TaskRef, (ByteSize, Option<NodeId>)>>,
     /// Tenant scope of the current matching pass (the FIFO baseline
     /// runs a single pass scope, `TenantId(0)`, holding every task).
     tenant: TenantId,
@@ -87,7 +81,6 @@ impl<'a> Dispatcher<'a> {
             cfg,
             input,
             claims: vec![Claims::default(); input.nodes.len()],
-            chars: RefCell::new(HashMap::new()),
             tenant: TenantId(0),
             held: HashSet::new(),
         }
@@ -103,53 +96,6 @@ impl<'a> Dispatcher<'a> {
             .binary_search_by(|p| (p.task.stage, p.task.index).cmp(&(task.stage, task.index)))
             .ok()
             .map(|i| &self.input.pending[i])
-    }
-
-    /// A best-executor lock is only honoured while its target is alive:
-    /// a lock pointing at a node the failure detector declared dead is
-    /// released (and its memory-veto override with it) until the node is
-    /// re-admitted and re-earns the lock.
-    fn live_lock(&self, locked: Option<NodeId>) -> Option<NodeId> {
-        locked.filter(|n| {
-            self.input
-                .nodes
-                .get(n.index())
-                .map(|v| !v.dead)
-                .unwrap_or(false)
-        })
-    }
-
-    /// One DB lookup: `(peak estimate, best-executor lock)`. The peak is
-    /// the one the TM files a queued task's class under: the observed
-    /// one when the task (or the DB) knows it, else a conservative
-    /// default. The lock is the node a fully-characterised task is
-    /// locked to (`historyresource.size = 5 ∧ optexecutor` known), if
-    /// alive.
-    fn read_char(&self, tm: &TaskManager, view: &PendingTaskView) -> (ByteSize, Option<NodeId>) {
-        let char = tm.lookup(view);
-        let locked = self.live_lock(
-            char.filter(|c| c.history_size() == ResourceKind::COUNT)
-                .and_then(|c| c.best.map(|(n, _)| n)),
-        );
-        (tm.class_of(char, view).1, locked)
-    }
-
-    /// [`Dispatcher::read_char`], memoised for the round.
-    fn char_of(&self, tm: &TaskManager, view: &PendingTaskView) -> (ByteSize, Option<NodeId>) {
-        if let Some(&c) = self.chars.borrow().get(&view.task) {
-            return c;
-        }
-        let c = self.read_char(tm, view);
-        self.chars.borrow_mut().insert(view.task, c);
-        c
-    }
-
-    fn peak_estimate(&self, tm: &TaskManager, view: &PendingTaskView) -> ByteSize {
-        self.char_of(tm, view).0
-    }
-
-    fn locked_best(&self, tm: &TaskManager, view: &PendingTaskView) -> Option<NodeId> {
-        self.char_of(tm, view).1
     }
 
     fn free_mem_after_claims(&self, node: NodeId) -> ByteSize {
@@ -343,74 +289,103 @@ impl<'a> Dispatcher<'a> {
 
     /// Algorithm 2's `schedule_task`: pick the task from `kind`'s queue,
     /// in the current tenant scope, that best matches `node`, and say why
-    /// it won. A *plain* task can never trigger an early return (no lock
-    /// ⇒ never locked here; no preferences ⇒ its locality is always
-    /// `ANY`), so a full queue scan's winner is exactly the lexicographic
-    /// minimum of `(locality, seat)` over the special candidates plus the
-    /// first plain task that fits: the special side is scanned in full
-    /// (`O(special)`), the plain side first-fits after an `O(log)` "does
-    /// anything fit" floor check. Launched tasks are already gone:
-    /// [`Dispatcher::run_pass`] removes a match from the TM queues before
-    /// the next probe.
+    /// it won; the pick carries its stored peak estimate. The winner is
+    /// the first task in seat order that is locked to `node` (fitting or
+    /// not) or fits and is process-local there; failing that, the
+    /// lexicographic minimum of `(locality, seat)` over the tasks that
+    /// fit. Two bounded steps find exactly that task:
     ///
-    /// The split classifies by *raw* lock (target liveness ignored); a
-    /// dead-locked task lands on the special side although it competes
-    /// like a plain one. That is decision-neutral: its live lock is
-    /// `None` (no early return), its locality is `ANY`, so it still wins
-    /// or loses by seat at `ANY`, just from the other scan.
+    /// * **A** scans the special entries listed under `node` (its
+    ///   preferring tasks and the tasks whose raw lock names it). That
+    ///   list holds every task that can return early and every
+    ///   node-local candidate, so a node-local winner ends the probe.
+    /// * **B** runs only when A found nothing: a first-fit over the
+    ///   special side in seat order that stops at the first rack-local
+    ///   task, else takes the first fitting special task at `ANY`,
+    ///   against the first plain task that fits (after an `O(log)`
+    ///   "does anything fit" floor check). A plain task can never win
+    ///   early (no lock, no preferences ⇒ always `ANY`), so the earlier
+    ///   seat of the two wins.
+    ///
+    /// A probe costs the tasks that prefer `node` plus, only when none
+    /// wins there, the special prefix up to the first fit. Launched tasks
+    /// are already gone: [`Dispatcher::run_pass`] removes a match from the
+    /// TM queues before the next probe.
+    ///
+    /// The split and the listings use the *raw* lock (target liveness
+    /// ignored); a dead-locked task lands on the special side although it
+    /// competes like a plain one. That is decision-neutral: its lock is
+    /// not honoured on the dead node (no early return), so it still wins
+    /// or loses by locality and seat.
     fn schedule_task(
         &self,
         tm: &TaskManager,
         kind: ResourceKind,
         node: NodeId,
-    ) -> Option<(TaskRef, LaunchReason)> {
+    ) -> Option<(TaskRef, ByteSize, LaunchReason)> {
         let free_mem = self.free_mem_after_claims(node);
-        let mut best: Option<(u64, TaskRef, Locality)> = None;
-        for (seat, task) in tm.queues.special_kind(kind, self.tenant) {
-            let Some(view) = self.view_of(task) else {
-                continue;
-            };
-            let locked_here = self.locked_best(tm, view) == Some(node);
-            if self.peak_estimate(tm, view) > free_mem {
-                // Algorithm 2 lines 12–16: the memory check is overridden
-                // only for fully-characterised tasks locked to this node
-                if locked_here {
-                    return Some((
-                        task,
-                        LaunchReason::BestExecutorLock {
-                            overrode_memory_veto: true,
-                        },
-                    ));
-                }
-                continue;
-            }
-            if locked_here {
-                return Some((
-                    task,
-                    LaunchReason::BestExecutorLock {
-                        overrode_memory_veto: false,
-                    },
-                ));
-            }
-            let loc = if self.cfg.use_locality {
+        // a lock is only honoured while its target is alive: one pointing
+        // at a node the failure detector declared dead is released (and
+        // its memory-veto override with it) until the node is re-admitted
+        let lock_live = !self.input.nodes[node.index()].dead;
+        let locality_at = |view: &PendingTaskView| {
+            if self.cfg.use_locality {
                 view.locality(self.input.cluster, node)
             } else {
                 Locality::Any
-            };
-            if loc == Locality::ProcessLocal {
-                return Some((
-                    task,
-                    LaunchReason::QueueMatch {
-                        kind,
-                        locality: loc,
-                    },
-                ));
             }
-            if best.map(|(_, _, bl)| loc < bl).unwrap_or(true) {
-                best = Some((seat, task, loc));
+        };
+        let matched =
+            |task, peak, locality| Some((task, peak, LaunchReason::QueueMatch { kind, locality }));
+
+        // step A: the tasks listed under this node
+        let mut node_local: Option<(TaskRef, ByteSize)> = None;
+        for e in tm.queues.node_kind(kind, self.tenant, node) {
+            let Some(view) = self.view_of(e.task) else {
+                continue;
+            };
+            if e.locked && lock_live {
+                // Algorithm 2 lines 12–16: a fully-characterised task
+                // locked to this node wins here, and only it may override
+                // the memory check
+                let overrode_memory_veto = e.peak > free_mem;
+                let reason = LaunchReason::BestExecutorLock {
+                    overrode_memory_veto,
+                };
+                return Some((e.task, e.peak, reason));
+            }
+            if e.peak > free_mem {
+                continue;
+            }
+            match locality_at(view) {
+                Locality::ProcessLocal => return matched(e.task, e.peak, Locality::ProcessLocal),
+                Locality::NodeLocal if node_local.is_none() => node_local = Some((e.task, e.peak)),
+                _ => {}
             }
         }
+        if let Some((task, peak)) = node_local {
+            return matched(task, peak, Locality::NodeLocal);
+        }
 
+        // step B: nothing fitting prefers this node
+        let mut first_fit: Option<(u64, TaskRef, ByteSize)> = None;
+        for (seat, task, peak) in tm.queues.special_kind(kind, self.tenant) {
+            if peak > free_mem {
+                continue;
+            }
+            let Some(view) = self.view_of(task) else {
+                continue;
+            };
+            if locality_at(view) == Locality::RackLocal {
+                return matched(task, peak, Locality::RackLocal);
+            }
+            if first_fit.is_none() {
+                first_fit = Some((seat, task, peak));
+                if !self.cfg.use_locality {
+                    break;
+                }
+            }
+        }
         let plain_pick = if tm
             .queues
             .plain_floor(kind, self.tenant)
@@ -422,26 +397,17 @@ impl<'a> Dispatcher<'a> {
         } else {
             None
         };
-
-        let (task, locality) = match (best, plain_pick) {
-            (Some((sseat, st, sloc)), Some((pseat, pt, _))) => {
-                if sloc < Locality::Any || sseat < pseat {
-                    (st, sloc)
-                } else {
-                    (pt, Locality::Any)
-                }
-            }
-            (Some((_, st, sloc)), None) => (st, sloc),
-            (None, Some((_, pt, _))) => (pt, Locality::Any),
-            (None, None) => return None,
+        let (_, task, peak) = match (first_fit, plain_pick) {
+            (Some(s), Some(p)) => s.min(p),
+            (s, p) => s.or(p)?,
         };
-        Some((task, LaunchReason::QueueMatch { kind, locality }))
+        matched(task, peak, Locality::Any)
     }
 
     /// Smallest peak estimate among `kind`'s live candidates in the
     /// current tenant scope: the first key of each side's peak multiset
-    /// (a member's stored peak is its [`Dispatcher::read_char`] estimate,
-    /// by the `pending_fresh` warranty) — unless gang members are held
+    /// (a member's stored peak is its current estimate, by the
+    /// `pending_fresh` warranty) — unless gang members are held
     /// this round, which the multisets still count, so those rounds scan.
     fn kind_floor(&self, tm: &TaskManager, kind: ResourceKind) -> Option<ByteSize> {
         let (plain_min, special_min) = if self.held.is_empty() {
@@ -459,8 +425,8 @@ impl<'a> Dispatcher<'a> {
             let special = tm
                 .queues
                 .special_kind(kind, self.tenant)
-                .filter_map(|(_, t)| self.view_of(t))
-                .map(|v| self.peak_estimate(tm, v))
+                .filter(|&(_, task, _)| self.view_of(task).is_some())
+                .map(|(_, _, peak)| peak)
                 .min();
             (plain, special)
         };
@@ -470,9 +436,9 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Run one offer round: diff the persistent node rankings against
-    /// this round's snapshot (`O(changed · log n)`), admit gang stages
-    /// (when enabled), then run the round-robin matching loop over the
+    /// Run one offer round over `cache`, already re-keyed against this
+    /// round's snapshot ([`NodeQueueCache::refresh_keys`]): admit gang
+    /// stages (when enabled), then run the round-robin matching loop over the
     /// tenants in `order` — the allocation policy's order for the round,
     /// or `[TenantId(0)]` for the FIFO baseline's single shared scope —
     /// consuming matched tasks from the TM queues. Tenants absent from
@@ -484,16 +450,11 @@ impl<'a> Dispatcher<'a> {
         cache: &mut NodeQueueCache,
         order: &[TenantId],
     ) -> Vec<Command> {
-        cache.refresh_keys(
-            self.input.cluster,
-            &self.input.nodes,
-            self.input.changed.as_deref(),
-        );
         // With nothing pending the matching loop can only produce zero
         // launches — skip the pick scans and even the dispatch-queue
-        // materialisation outright. The re-keying above still ran, so the
-        // ordered sets stay in sync and the queues catch up lazily on the
-        // next busy round.
+        // materialisation outright. The caller's re-keying still ran, so
+        // the ordered sets stay in sync and the queues catch up lazily on
+        // the next busy round.
         if self.input.pending.is_empty() {
             return Vec::new();
         }
@@ -552,7 +513,7 @@ impl<'a> Dispatcher<'a> {
             let mut plan: Vec<(TaskRef, NodeId, bool, Locality)> = Vec::new();
             let mut fits = true;
             for view in &members {
-                let peak = self.peak_estimate(tm, view);
+                let peak = tm.peak_estimate(view);
                 match self.gang_slot(view, peak) {
                     Some((node, use_gpu, locality)) => {
                         let kind = if use_gpu {
@@ -659,7 +620,7 @@ impl<'a> Dispatcher<'a> {
                 fell_back_to_cpu = node.is_some();
             }
             let Some(node) = node else { continue };
-            let Some((task, reason)) = self.schedule_task(tm, kind, node) else {
+            let Some((task, mem, reason)) = self.schedule_task(tm, kind, node) else {
                 continue;
             };
             let view = self.view_of(task).expect("scheduled task is pending");
@@ -667,7 +628,6 @@ impl<'a> Dispatcher<'a> {
                 && !fell_back_to_cpu
                 && view.gpu_capable
                 && self.input.nodes[node.index()].gpus_idle > self.claims[node.index()].gpu;
-            let mem = self.peak_estimate(tm, view);
             let claim_kind = if fell_back_to_cpu {
                 ResourceKind::Cpu
             } else {
@@ -753,6 +713,7 @@ impl<'a> Dispatcher<'a> {
 mod reference {
     use super::*;
     use crate::rm::ResourceQueues;
+    use std::collections::HashMap;
 
     /// One round of the reference matcher.
     pub(super) struct Reference<'a> {
@@ -766,6 +727,23 @@ mod reference {
                 d: Dispatcher::new(cfg, input),
                 pending: input.pending.iter().map(|p| (p.task, p)).collect(),
             }
+        }
+
+        /// One DB read: `(peak estimate, best-executor lock)`, the lock
+        /// being the node a fully-characterised task is locked to
+        /// (`historyresource.size = 5 ∧ optexecutor` known) while that
+        /// node is alive.
+        fn read_char(
+            &self,
+            tm: &TaskManager,
+            view: &PendingTaskView,
+        ) -> (ByteSize, Option<NodeId>) {
+            let lock = tm
+                .lookup(view)
+                .filter(|c| c.history_size() == ResourceKind::COUNT)
+                .and_then(|c| c.best.map(|(n, _)| n))
+                .filter(|n| self.d.input.nodes.get(n.index()).is_some_and(|v| !v.dead));
+            (tm.peak_estimate(view), lock)
         }
 
         /// `kind`'s queue entries in `tenant`'s scope that are still
@@ -819,7 +797,7 @@ mod reference {
             let free_mem = self.d.free_mem_after_claims(node);
             let mut best: Option<(TaskRef, Locality)> = None;
             for (task, view) in self.candidates(tm, kind, tenant) {
-                let (peak, lock) = self.d.read_char(tm, view);
+                let (peak, lock) = self.read_char(tm, view);
                 let locked_here = lock == Some(node);
                 if peak > free_mem || locked_here {
                     if locked_here {
@@ -876,7 +854,7 @@ mod reference {
                     for kind in ResourceKind::ALL {
                         let floor = self
                             .candidates(tm, kind, tenant)
-                            .map(|(_, v)| self.d.read_char(tm, v).0)
+                            .map(|(_, v)| self.read_char(tm, v).0)
                             .min();
                         let mut node = self.pick_node(&queues, kind, floor);
                         let mut fell_back_to_cpu = false;
@@ -903,7 +881,7 @@ mod reference {
                         } else {
                             kind
                         };
-                        let mem = self.d.read_char(tm, view).0;
+                        let mem = self.read_char(tm, view).0;
                         self.d.note_claim(node, claim_kind, mem);
                         tm.queues.remove(&task);
                         let reason = match reason {
@@ -1059,7 +1037,9 @@ mod tests {
         input: &OfferInput<'_>,
         tm: &mut TaskManager,
     ) -> Vec<Command> {
-        Dispatcher::new(cfg, input).dispatch(tm, &mut NodeQueueCache::new(), &[TenantId(0)])
+        let mut cache = NodeQueueCache::new();
+        cache.refresh_keys(input.cluster, &input.nodes, None);
+        Dispatcher::new(cfg, input).dispatch(tm, &mut cache, &[TenantId(0)])
     }
 
     #[test]
@@ -1353,7 +1333,9 @@ mod tests {
     /// flat-scan [`reference`] get identical TM histories (ingestion, DB
     /// writes between rounds) and identical snapshots, and must emit
     /// identical command lists every round — on the paper cluster and
-    /// on the multi-rack 64- and 256-node shapes.
+    /// on the multi-rack 64- and 256-node shapes, with and without gang
+    /// admission, tenant scopes and locality (`schedule_task`'s second
+    /// step stops at a rack-local task only when locality is on).
     mod differential {
         use super::*;
         use crate::alloc::AllocationPolicy;
@@ -1485,7 +1467,9 @@ mod tests {
                 speculative: false,
                 locality: Locality::Any,
                 launched_at: SimTime::ZERO,
-                finished_at: SimTime::ZERO,
+                // a random run time, so a faster run moves a full
+                // history's lock to another node
+                finished_at: SimTime::from_secs_f64(rng.gen_range(1.0..30.0)),
                 outcome: AttemptOutcome::Success,
                 breakdown,
                 peak_mem: peak,
@@ -1550,11 +1534,13 @@ mod tests {
             shape: usize,
             gang: bool,
             tenants: bool,
+            use_locality: bool,
         ) -> Result<(), TestCaseError> {
             let cluster = cluster(shape);
             let app = app();
             let cfg = RupamConfig {
                 gang_admission: gang,
+                use_locality,
                 allocation: if tenants {
                     AllocationPolicy::WeightedFair
                 } else {
@@ -1644,6 +1630,13 @@ mod tests {
 
                 tm_prod.ingest_fresh(&input.pending, &input.pending_fresh);
                 prop_assert!(input.pending.iter().all(|v| tm_prod.is_current(v)));
+                let findings = tm_prod.queues.verify();
+                prop_assert!(
+                    findings.is_empty(),
+                    "queues diverge from a rebuild: {:?}",
+                    findings
+                );
+                cache.refresh_keys(&cluster, &input.nodes, input.changed.as_deref());
                 let prod = Dispatcher::new(&cfg, &input).dispatch(&mut tm_prod, &mut cache, &order);
 
                 let unqueued: Vec<TaskRef> = input
@@ -1698,7 +1691,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 36, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
             #[test]
             fn production_matches_reference(
@@ -1706,8 +1699,9 @@ mod tests {
                 shape in 0usize..3,
                 gang in any::<bool>(),
                 tenants in any::<bool>(),
+                use_locality in any::<bool>(),
             ) {
-                run_case(seed, shape, gang, tenants)?;
+                run_case(seed, shape, gang, tenants, use_locality)?;
             }
         }
     }

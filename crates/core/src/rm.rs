@@ -300,6 +300,13 @@ impl NodeQueueCache {
         self.dirty = false;
     }
 
+    /// `kind`'s ranking as of the last refresh, best first: the order of
+    /// [`ResourceQueues::build`] over the same snapshot (see
+    /// [`NodeQueueCache::verify`]), readable without materialising.
+    pub fn nodes(&self, kind: ResourceKind) -> impl Iterator<Item = NodeId> + '_ {
+        self.sets.get(kind).iter().map(|r| r.node)
+    }
+
     /// `kind`'s materialised dispatch queue, best first.
     pub(crate) fn ranks(&self, kind: ResourceKind) -> &[Rank] {
         debug_assert!(!self.dirty, "ranks read before materialisation");

@@ -12,7 +12,6 @@
 //! 4. engine-flagged speculatable tasks are relocated to the best node
 //!    for their recorded bottleneck.
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use rupam_simcore::time::{SimDuration, SimTime};
@@ -30,7 +29,7 @@ use rupam_metrics::trace::LaunchReason;
 use crate::alloc::{quota_preemption_commands, AllocSession, AllocationPolicy, PreemptState};
 use crate::config::RupamConfig;
 use crate::dispatcher::Dispatcher;
-use crate::rm::{NodeQueueCache, ResourceQueues};
+use crate::rm::NodeQueueCache;
 use crate::straggler::{
     gpu_race_commands, memory_straggler_commands, relocation_target, resource_straggler_candidates,
     StragglerState,
@@ -117,15 +116,17 @@ impl RupamScheduler {
         self.tm.clear_db();
     }
 
-    /// One offer round (the module docs' steps 0–4). `relocate(kind,
-    /// avoid)` places a relocated copy; the resource stragglers of step
-    /// 2 and the speculatable tasks of step 4 both go through it. It is a
-    /// parameter so tests can check the shared per-round ranking of
-    /// [`Scheduler::offer_round`] against a rebuild per relocation.
+    /// One offer round (the module docs' steps 0–4). `relocate(ranking,
+    /// kind, avoid)` places a relocated copy, given the persistent node
+    /// ranking re-keyed against this round's snapshot; the resource
+    /// stragglers of step 2 and the speculatable tasks of step 4 both go
+    /// through it. It is a parameter so tests can check
+    /// [`Scheduler::offer_round`]'s reading of that ranking against a
+    /// rebuild per relocation.
     fn offer_round_with(
         &mut self,
         input: &OfferInput<'_>,
-        relocate: impl Fn(ResourceKind, NodeId) -> Option<NodeId>,
+        relocate: impl Fn(&NodeQueueCache, ResourceKind, NodeId) -> Option<NodeId>,
     ) -> Vec<Command> {
         // 0. tenant-aware runs refresh the job → tenant map before any
         //    ingestion, so every enqueue lands in the right shard
@@ -144,6 +145,15 @@ impl RupamScheduler {
             "pending_fresh warranty broken: a pending task is unqueued or \
              queued under a stale classification"
         );
+        debug_assert!(
+            self.tm.queues.verify().is_empty(),
+            "task queues diverge from a rebuild: {:?}",
+            self.tm.queues.verify()
+        );
+        // the node rankings follow this round's snapshot before anything
+        // reads them: relocation (steps 2 and 4) and dispatch (step 3)
+        self.node_cache
+            .refresh_keys(input.cluster, &input.nodes, input.changed.as_deref());
 
         let mut cmds = Vec::new();
 
@@ -167,7 +177,7 @@ impl RupamScheduler {
                     .and_then(|t| self.tm.db().get(&crate::db::TaskKey::new(*t, task.index)))
                     .and_then(|c| c.last_bottleneck)
                     .unwrap_or(ResourceKind::Cpu);
-                if let Some(target) = relocate(kind, bad_node) {
+                if let Some(target) = relocate(&self.node_cache, kind, bad_node) {
                     cmds.push(Command::Launch {
                         task,
                         node: target,
@@ -238,7 +248,7 @@ impl RupamScheduler {
                 .find(|v| v.running.iter().any(|r| r.task == s.task))
                 .map(|v| v.node)
                 .unwrap_or(NodeId(0));
-            if let Some(target) = relocate(kind, original_node) {
+            if let Some(target) = relocate(&self.node_cache, kind, original_node) {
                 cmds.push(Command::Launch {
                     task: s.task,
                     node: target,
@@ -331,12 +341,8 @@ impl Scheduler for RupamScheduler {
     }
 
     fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
-        // steps 2 and 4 rank the same immutable snapshot: build the
-        // Resource Queues on the first relocation, then share them
-        let ranking = OnceCell::new();
-        self.offer_round_with(input, |kind, avoid| {
-            let queues = ranking.get_or_init(|| ResourceQueues::build(input.cluster, &input.nodes));
-            relocation_target(input, queues, kind, avoid)
+        self.offer_round_with(input, |ranking, kind, avoid| {
+            relocation_target(ranking.nodes(kind), avoid)
         })
     }
 
@@ -665,11 +671,11 @@ mod tests {
         );
     }
 
-    /// The per-round shared ranking against the reference rule, which
-    /// rebuilds the Resource Queues for every relocation: both get
-    /// identical TM histories and snapshots and must emit identical
-    /// command lists every round, on the paper cluster and on the 64-
-    /// and 256-node shapes. Rounds carry several resource-straggler
+    /// Relocation off the persistent node ranking against the reference
+    /// rule, which rebuilds the Resource Queues for every relocation:
+    /// both get identical TM histories and snapshots and must emit
+    /// identical command lists every round, on the paper cluster and on
+    /// the 64- and 256-node shapes. Rounds carry several resource-straggler
     /// candidates and speculatable tasks at once.
     mod shared_ranking {
         use super::*;
@@ -692,8 +698,8 @@ mod tests {
             kind: ResourceKind,
             avoid: NodeId,
         ) -> Option<NodeId> {
-            let queues = ResourceQueues::build(input.cluster, &input.nodes);
-            relocation_target(input, &queues, kind, avoid)
+            let queues = crate::rm::ResourceQueues::build(input.cluster, &input.nodes);
+            relocation_target(queues.nodes(kind).iter().copied(), avoid)
         }
 
         /// One single-stage job per stage.
@@ -876,7 +882,7 @@ mod tests {
                 };
                 let shared = prod.offer_round(&input);
                 let rebuilt =
-                    reference.offer_round_with(&input, |k, a| rebuilt_target(&input, k, a));
+                    reference.offer_round_with(&input, |_, k, a| rebuilt_target(&input, k, a));
                 assert_eq!(
                     shared,
                     rebuilt,

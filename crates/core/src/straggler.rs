@@ -24,7 +24,6 @@ use rupam_exec::scheduler::{Command, KillReason, NodeView, OfferInput};
 use rupam_metrics::trace::LaunchReason;
 
 use crate::config::RupamConfig;
-use crate::rm::ResourceQueues;
 use crate::tm::TaskManager;
 
 /// Per-node cooldown state for memory-straggler kills.
@@ -204,19 +203,14 @@ pub fn resource_straggler_candidates(
 
 /// Pick the placement node for a speculative copy of a task whose known
 /// bottleneck is `kind`: the best-capability, least-utilised node of that
-/// kind that is not the straggling node. `queues` is the ranking of
-/// `input`'s snapshot; one build serves every candidate of a round.
+/// kind that is not the straggling node. `ranking` is `kind`'s node
+/// ranking of the round's snapshot, best first (blocked nodes are never
+/// ranked), e.g. [`crate::rm::NodeQueueCache::nodes`].
 pub fn relocation_target(
-    input: &OfferInput<'_>,
-    queues: &ResourceQueues,
-    kind: ResourceKind,
+    ranking: impl IntoIterator<Item = NodeId>,
     avoid: NodeId,
 ) -> Option<NodeId> {
-    queues
-        .nodes(kind)
-        .iter()
-        .copied()
-        .find(|&n| n != avoid && !input.nodes[n.index()].blocked)
+    ranking.into_iter().find(|&n| n != avoid)
 }
 
 /// Minimum free memory across views — used by tests.
@@ -508,22 +502,9 @@ mod tests {
     #[test]
     fn relocation_prefers_capable_idle_node() {
         let cluster = ClusterSpec::hydra();
-        let app = app_with_gpu_stage();
-        let views = base_views(&cluster);
-        let input = OfferInput {
-            now: SimTime::ZERO,
-            cluster: &cluster,
-            app: &app,
-            nodes: views,
-            pending: vec![],
-            speculatable: vec![],
-            job_arrivals: vec![SimTime::ZERO],
-            job_tenants: vec![rupam_dag::TenantId(0)],
-            changed: None,
-            pending_fresh: vec![],
-        };
-        let queues = ResourceQueues::build(&cluster, &input.nodes);
-        let target = relocation_target(&input, &queues, ResourceKind::Cpu, NodeId(0)).unwrap();
+        let queues = crate::rm::ResourceQueues::build(&cluster, &base_views(&cluster));
+        let ranking = queues.nodes(ResourceKind::Cpu).iter().copied();
+        let target = relocation_target(ranking, NodeId(0)).unwrap();
         assert_ne!(target, NodeId(0));
         assert_eq!(cluster.node(target).class, "thor");
     }

@@ -25,6 +25,7 @@ use rupam_simcore::units::ByteSize;
 use rupam_simcore::Sym;
 
 use rupam_cluster::resources::{PerResource, ResourceKind};
+use rupam_cluster::NodeId;
 use rupam_dag::app::{JobId, StageId, StageKind};
 use rupam_dag::{TaskRef, TenantId};
 use rupam_exec::scheduler::PendingTaskView;
@@ -81,9 +82,13 @@ pub fn classify(
 /// *Special* tasks carry placement preferences or a raw best-executor
 /// lock (liveness of the lock target is checked per probe, so node
 /// deaths never invalidate the split); *plain* tasks can only ever match
-/// a node at `ANY` locality. Runs without tenant-scoped allocation put
-/// every task in shard `TenantId(0)`; seats are global, so that shard
-/// is the whole queue in queue order.
+/// a node at `ANY` locality. Every special entry is also listed under
+/// each node of its [`TaskClass::nodes`] (its preferred nodes and its
+/// raw lock target), so a probe of one node reads the few tasks that can
+/// win there outright or node-locally instead of the whole special side.
+/// Every entry carries its peak estimate. Runs without tenant-scoped
+/// allocation put every task in shard `TenantId(0)`; seats are global,
+/// so that shard is the whole queue in queue order.
 #[derive(Default)]
 pub struct TaskQueues {
     /// Every seat ever assigned per kind (kept across removals).
@@ -98,25 +103,79 @@ pub struct TaskQueues {
     shards: Vec<Shard>,
 }
 
+/// A queued task's dispatch classification: which side of the split it
+/// sits on, which nodes list it, and its admission estimate.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TaskClass {
+    /// The view's preferred nodes, `process_nodes ∪ node_local`, sorted
+    /// and deduplicated.
+    pub prefs: Vec<NodeId>,
+    /// The raw best-executor lock target (`historyresource.size = 5 ∧
+    /// optexecutor`), whether or not that node is alive.
+    pub lock: Option<NodeId>,
+    /// Peak-memory admission estimate.
+    pub peak: ByteSize,
+}
+
+impl TaskClass {
+    /// A class with neither preferences nor a lock.
+    pub fn plain(peak: ByteSize) -> Self {
+        TaskClass {
+            peak,
+            ..TaskClass::default()
+        }
+    }
+
+    /// Special iff it has placement preferences or a raw lock.
+    pub fn special(&self) -> bool {
+        !self.prefs.is_empty() || self.lock.is_some()
+    }
+
+    /// The nodes a special task is listed under: its preferred nodes,
+    /// then its lock target unless that is one of them.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let extra = self.lock.filter(|l| self.prefs.binary_search(l).is_err());
+        self.prefs.iter().copied().chain(extra)
+    }
+}
+
+/// One special task as listed under one node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct NodeEntry {
+    /// The task's seat in the queue (the listing's order).
+    pub seat: u64,
+    /// The listed task.
+    pub task: TaskRef,
+    /// Peak-memory admission estimate.
+    pub peak: ByteSize,
+    /// The task's raw lock names this node.
+    pub locked: bool,
+}
+
 /// A queued task's owner and current classification.
-#[derive(Clone, Copy)]
 struct Member {
     tenant: TenantId,
-    special: bool,
-    /// Peak-memory admission estimate.
-    peak: ByteSize,
+    class: TaskClass,
 }
 
 /// One tenant's slice of the class split, ordered by seat.
 #[derive(Default)]
 struct Shard {
-    special: PerResource<BTreeSet<(u64, TaskRef)>>,
+    special: PerResource<BTreeSet<(u64, TaskRef, ByteSize)>>,
     plain: PerResource<BTreeSet<(u64, TaskRef, ByteSize)>>,
     /// Live plain peak estimates → multiplicity; the first key answers
     /// "does anything plain fit" without a scan.
     plain_by_peak: PerResource<BTreeMap<ByteSize, usize>>,
     /// The same multiset over the special side's peak estimates.
     special_by_peak: PerResource<BTreeMap<ByteSize, usize>>,
+    /// The special entries again, listed under each node of their
+    /// class's [`TaskClass::nodes`]; indexed by node.
+    by_node: PerResource<Vec<BTreeSet<NodeEntry>>>,
+}
+
+/// Node `n`'s listing, if it holds any entry.
+fn listed(lists: &[BTreeSet<NodeEntry>], n: usize) -> Option<&BTreeSet<NodeEntry>> {
+    lists.get(n).filter(|l| !l.is_empty())
 }
 
 /// Count one more `peak` in a peak multiset.
@@ -134,6 +193,80 @@ fn sub_peak(by_peak: &mut BTreeMap<ByteSize, usize>, peak: ByteSize) {
     }
 }
 
+impl Shard {
+    /// Insert `task`'s entries under `class` in every queue holding a
+    /// seat for it.
+    fn link(
+        &mut self,
+        seats: &PerResource<HashMap<TaskRef, u64>>,
+        task: TaskRef,
+        class: &TaskClass,
+    ) {
+        let peak = class.peak;
+        for k in ResourceKind::ALL {
+            let Some(&seat) = seats.get(k).get(&task) else {
+                continue;
+            };
+            if !class.special() {
+                if self.plain.get_mut(k).insert((seat, task, peak)) {
+                    add_peak(self.plain_by_peak.get_mut(k), peak);
+                }
+                continue;
+            }
+            if self.special.get_mut(k).insert((seat, task, peak)) {
+                add_peak(self.special_by_peak.get_mut(k), peak);
+            }
+            let lists = self.by_node.get_mut(k);
+            for n in class.nodes() {
+                if n.index() >= lists.len() {
+                    lists.resize_with(n.index() + 1, BTreeSet::new);
+                }
+                lists[n.index()].insert(NodeEntry {
+                    seat,
+                    task,
+                    peak,
+                    locked: class.lock == Some(n),
+                });
+            }
+        }
+    }
+
+    /// The exact inverse of [`Shard::link`].
+    fn unlink(
+        &mut self,
+        seats: &PerResource<HashMap<TaskRef, u64>>,
+        task: TaskRef,
+        class: &TaskClass,
+    ) {
+        let peak = class.peak;
+        for k in ResourceKind::ALL {
+            let Some(&seat) = seats.get(k).get(&task) else {
+                continue;
+            };
+            if !class.special() {
+                if self.plain.get_mut(k).remove(&(seat, task, peak)) {
+                    sub_peak(self.plain_by_peak.get_mut(k), peak);
+                }
+                continue;
+            }
+            if self.special.get_mut(k).remove(&(seat, task, peak)) {
+                sub_peak(self.special_by_peak.get_mut(k), peak);
+            }
+            let lists = self.by_node.get_mut(k);
+            for n in class.nodes() {
+                if let Some(list) = lists.get_mut(n.index()) {
+                    list.remove(&NodeEntry {
+                        seat,
+                        task,
+                        peak,
+                        locked: class.lock == Some(n),
+                    });
+                }
+            }
+        }
+    }
+}
+
 impl TaskQueues {
     /// Empty queues.
     pub fn new() -> Self {
@@ -141,16 +274,13 @@ impl TaskQueues {
     }
 
     /// Enqueue `task` for `tenant` into the given queues, carrying its
-    /// current classification (`special` iff it has placement
-    /// preferences or a raw best-executor lock; `peak` is its admission
-    /// estimate).
+    /// current classification.
     pub fn enqueue(
         &mut self,
         task: TaskRef,
         kinds: &[ResourceKind],
         tenant: TenantId,
-        special: bool,
-        peak: ByteSize,
+        class: TaskClass,
     ) {
         self.unlink(task);
         for &k in kinds {
@@ -160,14 +290,7 @@ impl TaskQueues {
                 self.seats.get_mut(k).insert(task, seat);
             }
         }
-        self.members.insert(
-            task,
-            Member {
-                tenant,
-                special,
-                peak,
-            },
-        );
+        self.members.insert(task, Member { tenant, class });
         self.link(task);
     }
 
@@ -175,58 +298,34 @@ impl TaskQueues {
     /// seat for it, not just the kinds it was last enqueued for
     /// (historical-deque resurrection).
     fn link(&mut self, task: TaskRef) {
-        let m = self.members[&task];
+        let m = &self.members[&task];
         if m.tenant.index() >= self.shards.len() {
             self.shards
                 .resize_with(m.tenant.index() + 1, Shard::default);
         }
-        let shard = &mut self.shards[m.tenant.index()];
-        for k in ResourceKind::ALL {
-            let Some(&seat) = self.seats.get(k).get(&task) else {
-                continue;
-            };
-            if m.special {
-                if shard.special.get_mut(k).insert((seat, task)) {
-                    add_peak(shard.special_by_peak.get_mut(k), m.peak);
-                }
-            } else if shard.plain.get_mut(k).insert((seat, task, m.peak)) {
-                add_peak(shard.plain_by_peak.get_mut(k), m.peak);
-            }
-        }
+        self.shards[m.tenant.index()].link(&self.seats, task, &m.class);
     }
 
     /// The exact inverse of [`TaskQueues::link`] (no-op for
     /// non-members); the membership record itself stays.
     fn unlink(&mut self, task: TaskRef) {
-        let Some(&m) = self.members.get(&task) else {
+        let Some(m) = self.members.get(&task) else {
             return;
         };
-        let shard = &mut self.shards[m.tenant.index()];
-        for k in ResourceKind::ALL {
-            let Some(&seat) = self.seats.get(k).get(&task) else {
-                continue;
-            };
-            if m.special {
-                if shard.special.get_mut(k).remove(&(seat, task)) {
-                    sub_peak(shard.special_by_peak.get_mut(k), m.peak);
-                }
-            } else if shard.plain.get_mut(k).remove(&(seat, task, m.peak)) {
-                sub_peak(shard.plain_by_peak.get_mut(k), m.peak);
-            }
-        }
+        self.shards[m.tenant.index()].unlink(&self.seats, task, &m.class);
     }
 
     /// Update a still-queued member's classification (its view or DB
-    /// record changed). No-op for non-members.
-    pub fn reclassify(&mut self, task: TaskRef, special: bool, peak: ByteSize) {
+    /// record changed): re-linked when any part of the class moved,
+    /// including only its preferred nodes or lock target. No-op for
+    /// non-members.
+    pub fn reclassify(&mut self, task: TaskRef, class: TaskClass) {
         match self.members.get(&task) {
-            Some(m) if (m.special, m.peak) != (special, peak) => {}
+            Some(m) if m.class != class => {}
             _ => return,
         }
         self.unlink(task);
-        let m = self.members.get_mut(&task).expect("member");
-        m.special = special;
-        m.peak = peak;
+        self.members.get_mut(&task).expect("member").class = class;
         self.link(task);
     }
 
@@ -235,9 +334,9 @@ impl TaskQueues {
         self.members.contains_key(task)
     }
 
-    /// A member's stored classification, `(special, peak estimate)`.
-    pub fn class(&self, task: &TaskRef) -> Option<(bool, ByteSize)> {
-        self.members.get(task).map(|m| (m.special, m.peak))
+    /// A member's stored classification.
+    pub fn class(&self, task: &TaskRef) -> Option<&TaskClass> {
+        self.members.get(task).map(|m| &m.class)
     }
 
     /// The owning tenant of a member (`TenantId(0)` for non-members).
@@ -250,8 +349,8 @@ impl TaskQueues {
     }
 
     /// Remove a task everywhere (it launched or completed) in
-    /// `O(log n)` per kind. Its seats survive for position-preserving
-    /// re-enqueue.
+    /// `O(log n)` per kind and listing node. Its seats survive for
+    /// position-preserving re-enqueue.
     pub fn remove(&mut self, task: &TaskRef) {
         self.unlink(*task);
         self.members.remove(task);
@@ -264,26 +363,40 @@ impl TaskQueues {
         let mut entries: Vec<(u64, TaskRef)> = self
             .shards
             .iter()
-            .flat_map(|s| {
-                let plain = s.plain.get(kind).iter().map(|&(seat, t, _)| (seat, t));
-                s.special.get(kind).iter().copied().chain(plain)
-            })
+            .flat_map(|s| s.special.get(kind).iter().chain(s.plain.get(kind)))
+            .map(|&(seat, t, _)| (seat, t))
             .collect();
         entries.sort_unstable();
         entries.into_iter().map(|(_, t)| t)
     }
 
-    /// One tenant's live *special* entries of a queue, `(seat, task)` in
-    /// seat order.
+    /// One tenant's live *special* entries of a queue, `(seat, task,
+    /// peak)` in seat order.
     pub fn special_kind(
         &self,
         kind: ResourceKind,
         tenant: TenantId,
-    ) -> impl Iterator<Item = (u64, TaskRef)> + '_ {
+    ) -> impl Iterator<Item = (u64, TaskRef, ByteSize)> + '_ {
         self.shards
             .get(tenant.index())
             .into_iter()
             .flat_map(move |s| s.special.get(kind).iter().copied())
+    }
+
+    /// One tenant's special entries of a queue listed under `node`, in
+    /// seat order.
+    pub fn node_kind(
+        &self,
+        kind: ResourceKind,
+        tenant: TenantId,
+        node: NodeId,
+    ) -> impl Iterator<Item = NodeEntry> + '_ {
+        self.shards
+            .get(tenant.index())
+            .and_then(|s| s.by_node.get(kind).get(node.index()))
+            .into_iter()
+            .flatten()
+            .copied()
     }
 
     /// One tenant's live *plain* entries of a queue, `(seat, task,
@@ -324,6 +437,58 @@ impl TaskQueues {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
+
+    /// Cross-check the incrementally maintained shards against a rebuild
+    /// from `members` and the seats: the class split, both peak
+    /// multisets and every node listing. Returns one line per
+    /// divergence (empty when consistent).
+    pub fn verify(&self) -> Vec<String> {
+        let mut rebuilt: Vec<Shard> = Vec::new();
+        for (&task, m) in &self.members {
+            if m.tenant.index() >= rebuilt.len() {
+                rebuilt.resize_with(m.tenant.index() + 1, Shard::default);
+            }
+            rebuilt[m.tenant.index()].link(&self.seats, task, &m.class);
+        }
+        let empty = Shard::default();
+        let mut findings = Vec::new();
+        for t in 0..self.shards.len().max(rebuilt.len()) {
+            let (have, want) = (
+                self.shards.get(t).unwrap_or(&empty),
+                rebuilt.get(t).unwrap_or(&empty),
+            );
+            for k in ResourceKind::ALL {
+                let sides = [
+                    ("special", have.special.get(k) == want.special.get(k)),
+                    ("plain", have.plain.get(k) == want.plain.get(k)),
+                    (
+                        "special peaks",
+                        have.special_by_peak.get(k) == want.special_by_peak.get(k),
+                    ),
+                    (
+                        "plain peaks",
+                        have.plain_by_peak.get(k) == want.plain_by_peak.get(k),
+                    ),
+                ];
+                for (what, same) in sides {
+                    if !same {
+                        findings.push(format!("tenant {t} {k:?}: {what} diverges from a rebuild"));
+                    }
+                }
+                let (have, want) = (have.by_node.get(k), want.by_node.get(k));
+                for n in 0..have.len().max(want.len()) {
+                    let (h, w) = (listed(have, n), listed(want, n));
+                    if h != w {
+                        findings.push(format!(
+                            "tenant {t} {k:?}: node {n} listing {:?} diverges from rebuilt {:?}",
+                            h, w
+                        ));
+                    }
+                }
+            }
+        }
+        findings
+    }
 }
 
 /// The Task Manager.
@@ -350,21 +515,37 @@ pub struct TaskManager {
     /// Memo of cold-DB scoped keys (`jN@template`), so the ablation path
     /// formats and interns each `(job, template)` pair once.
     scope_cache: RefCell<HashMap<(JobId, Sym), Sym>>,
-    /// What each ingested task's classification was derived from, so a
-    /// DB write to its key can recompute it without the view in hand.
-    class_meta: HashMap<TaskRef, ClassMeta>,
+    /// Each ingested task's own peak-memory hint, so a DB write to its
+    /// key can recompute its class without the view in hand (the
+    /// preferred nodes are kept in the queued class itself).
+    hints: HashMap<TaskRef, ByteSize>,
     /// Tasks ever ingested under each DB key — the invalidation fan-out
     /// for [`TaskManager::record_finish`] / memory failures.
     key_index: HashMap<TaskKey, HashSet<TaskRef>>,
 }
 
-/// View-side inputs to a task's special/plain classification (the
-/// DB-side inputs are re-read at reclassification time).
-struct ClassMeta {
-    /// The view carried placement preferences.
-    prefs_special: bool,
-    /// The view's own peak-memory hint.
-    hint: ByteSize,
+/// A view's preferred nodes, `process_nodes ∪ node_local`, sorted and
+/// deduplicated ([`TaskClass::prefs`]).
+fn preferred_nodes(view: &PendingTaskView) -> Vec<NodeId> {
+    let mut prefs: Vec<NodeId> = view
+        .process_nodes
+        .iter()
+        .chain(&view.node_local)
+        .copied()
+        .collect();
+    prefs.sort_unstable();
+    prefs.dedup();
+    prefs
+}
+
+/// The admission estimate: the view's own hint when it has one, else
+/// the DB's observed peak (or the default estimate).
+fn pick_peak(hint: ByteSize, char_peak: ByteSize) -> ByteSize {
+    if hint > ByteSize::ZERO {
+        hint
+    } else {
+        char_peak
+    }
 }
 
 impl TaskManager {
@@ -380,7 +561,7 @@ impl TaskManager {
             job_of_stage: HashMap::new(),
             job_tenants: Vec::new(),
             scope_cache: RefCell::new(HashMap::new()),
-            class_meta: HashMap::new(),
+            hints: HashMap::new(),
             key_index: HashMap::new(),
         }
     }
@@ -457,7 +638,7 @@ impl TaskManager {
         self.job_of_stage.clear();
         self.job_tenants.clear();
         self.scope_cache.borrow_mut().clear();
-        self.class_meta.clear();
+        self.hints.clear();
         self.key_index.clear();
     }
 
@@ -509,50 +690,45 @@ impl TaskManager {
     }
 
     /// A task's persistent-split classification from its view and DB
-    /// record. *Special* iff it carries placement preferences or a raw
-    /// best-executor lock — raw deliberately: lock-target liveness is
-    /// filtered at probe time, so node deaths never reclassify anything.
-    /// The peak is also the dispatcher's admission estimate.
-    pub(crate) fn class_of(
-        &self,
-        char: Option<&TaskChar>,
-        view: &PendingTaskView,
-    ) -> (bool, ByteSize) {
-        let (raw_lock, char_peak) = self.char_class(char);
-        let special = !view.process_nodes.is_empty() || !view.node_local.is_empty() || raw_lock;
-        let peak = if view.peak_mem_hint > ByteSize::ZERO {
-            view.peak_mem_hint
-        } else {
-            char_peak
-        };
-        (special, peak)
+    /// record: its preferred nodes, its *raw* best-executor lock target
+    /// (lock-target liveness is filtered at probe time, so node deaths
+    /// never reclassify anything) and its peak, which is also the
+    /// dispatcher's admission estimate.
+    pub(crate) fn class_of(&self, char: Option<&TaskChar>, view: &PendingTaskView) -> TaskClass {
+        let (lock, char_peak) = self.char_class(char);
+        TaskClass {
+            prefs: preferred_nodes(view),
+            lock,
+            peak: pick_peak(view.peak_mem_hint, char_peak),
+        }
+    }
+
+    /// The admission estimate of a pending task, as its class files it.
+    pub(crate) fn peak_estimate(&self, view: &PendingTaskView) -> ByteSize {
+        pick_peak(view.peak_mem_hint, self.char_class(self.lookup(view)).1)
     }
 
     /// The DB record's share of a classification: `(raw best-executor
-    /// lock, observed peak or the default estimate)`. A write that leaves
-    /// this pair alone cannot reclassify any task under its key.
-    fn char_class(&self, char: Option<&TaskChar>) -> (bool, ByteSize) {
-        let raw_lock =
-            char.is_some_and(|c| c.history_size() == ResourceKind::COUNT && c.best.is_some());
+    /// lock target, observed peak or the default estimate)`. A write
+    /// that leaves this pair alone cannot reclassify any task under its
+    /// key; one that moves the lock to another node re-lists them.
+    fn char_class(&self, char: Option<&TaskChar>) -> (Option<NodeId>, ByteSize) {
+        let lock = char
+            .filter(|c| c.history_size() == ResourceKind::COUNT)
+            .and_then(|c| c.best.map(|(n, _)| n));
         let peak = match char {
             Some(c) if c.peak_mem > ByteSize::ZERO => c.peak_mem,
             _ => self.cfg.unknown_task_mem_estimate,
         };
-        (raw_lock, peak)
+        (lock, peak)
     }
 
-    fn note_class_meta(&mut self, view: &PendingTaskView) {
+    fn note_hint(&mut self, view: &PendingTaskView) {
         let key = TaskKey::new(
             self.scope(view.task.stage, view.template_key),
             view.task.index,
         );
-        self.class_meta.insert(
-            view.task,
-            ClassMeta {
-                prefs_special: !view.process_nodes.is_empty() || !view.node_local.is_empty(),
-                hint: view.peak_mem_hint,
-            },
-        );
+        self.hints.insert(view.task, view.peak_mem_hint);
         self.key_index.entry(key).or_default().insert(view.task);
     }
 
@@ -564,10 +740,9 @@ impl TaskManager {
             .unwrap_or(TenantId(0));
         let char = self.lookup(view);
         let kinds = self.queues_for_char(char, view);
-        let (special, peak) = self.class_of(char, view);
-        self.queues
-            .enqueue(view.task, &kinds, tenant, special, peak);
-        self.note_class_meta(view);
+        let class = self.class_of(char, view);
+        self.queues.enqueue(view.task, &kinds, tenant, class);
+        self.note_hint(view);
     }
 
     /// Ingest one offer round's fresh list (see
@@ -591,9 +766,9 @@ impl TaskManager {
             };
             let view = &pending[i];
             if self.queues.contains(task) {
-                let (special, peak) = self.class_of(self.lookup(view), view);
-                self.queues.reclassify(view.task, special, peak);
-                self.note_class_meta(view);
+                let class = self.class_of(self.lookup(view), view);
+                self.queues.reclassify(view.task, class);
+                self.note_hint(view);
             } else {
                 self.ingest(view);
             }
@@ -604,39 +779,35 @@ impl TaskManager {
     /// its current view and DB record give — the contract
     /// [`TaskManager::ingest_fresh`] relies on its caller to keep.
     pub fn is_current(&self, view: &PendingTaskView) -> bool {
-        self.queues.class(&view.task) == Some(self.class_of(self.lookup(view), view))
+        self.queues.class(&view.task) == Some(&self.class_of(self.lookup(view), view))
     }
 
     /// A DB write landed on `key`, whose [`TaskManager::char_class`] was
     /// `before` it: recompute the classification of every still-queued
-    /// task characterising under it (the lock or observed peak may have
-    /// appeared / changed). Doing this at the record call site keeps the
-    /// persistent split exactly as fresh as a per-round rebuild would see
-    /// it; a write that moved neither the lock nor the peak is a no-op.
-    fn reclassify_key(&mut self, key: TaskKey, before: (bool, ByteSize)) {
-        let (raw_lock, char_peak) = self.char_class(self.db.get(&key));
-        if (raw_lock, char_peak) == before {
+    /// task characterising under it (the lock may have appeared or moved
+    /// to another node, the observed peak may have changed). Doing this
+    /// at the record call site keeps the persistent split exactly as
+    /// fresh as a per-round rebuild would see it; a write that moved
+    /// neither the lock target nor the peak is a no-op.
+    fn reclassify_key(&mut self, key: TaskKey, before: (Option<NodeId>, ByteSize)) {
+        let (lock, char_peak) = self.char_class(self.db.get(&key));
+        if (lock, char_peak) == before {
             return;
         }
         let Some(tasks) = self.key_index.get(&key) else {
             return;
         };
-        let queued: Vec<TaskRef> = tasks
-            .iter()
-            .copied()
-            .filter(|t| self.queues.contains(t))
-            .collect();
-        for t in queued {
-            let Some(meta) = self.class_meta.get(&t) else {
+        for t in tasks {
+            let Some(queued) = self.queues.class(t) else {
                 continue;
             };
-            let special = meta.prefs_special || raw_lock;
-            let peak = if meta.hint > ByteSize::ZERO {
-                meta.hint
-            } else {
-                char_peak
+            let hint = self.hints.get(t).copied().unwrap_or(ByteSize::ZERO);
+            let class = TaskClass {
+                prefs: queued.prefs.clone(),
+                lock,
+                peak: pick_peak(hint, char_peak),
             };
-            self.queues.reclassify(t, special, peak);
+            self.queues.reclassify(*t, class);
         }
     }
 
@@ -676,7 +847,7 @@ impl TaskManager {
         template_key: Sym,
         index: usize,
         peak: ByteSize,
-        node: rupam_cluster::NodeId,
+        node: NodeId,
     ) {
         if !self.cfg.use_task_db {
             return;
@@ -742,6 +913,15 @@ mod tests {
 
     fn cfg() -> RupamConfig {
         RupamConfig::default()
+    }
+
+    /// A special class: one preferred node.
+    fn special(peak: ByteSize) -> TaskClass {
+        TaskClass {
+            prefs: vec![NodeId(0)],
+            lock: None,
+            peak,
+        }
     }
 
     #[test]
@@ -898,7 +1078,12 @@ mod tests {
             stage: StageId(0),
             index: 1,
         };
-        q.enqueue(t, &ResourceKind::ALL, TenantId(0), false, ByteSize::ZERO);
+        q.enqueue(
+            t,
+            &ResourceKind::ALL,
+            TenantId(0),
+            TaskClass::plain(ByteSize::ZERO),
+        );
         assert!(q.contains(&t));
         assert_eq!(q.len(), 1, "multi-queue membership counts once");
         assert_eq!(q.iter_kind(ResourceKind::Cpu).count(), 1);
@@ -921,28 +1106,28 @@ mod tests {
             t(0),
             &[ResourceKind::Cpu],
             TenantId(0),
-            false,
-            ByteSize::gib(2),
+            TaskClass::plain(ByteSize::gib(2)),
         );
         q.enqueue(
             t(1),
             &[ResourceKind::Cpu],
             TenantId(0),
-            true,
-            ByteSize::gib(1),
+            special(ByteSize::gib(1)),
         );
         q.enqueue(
             t(2),
             &[ResourceKind::Cpu],
             TenantId(1),
-            false,
-            ByteSize::gib(4),
+            TaskClass::plain(ByteSize::gib(4)),
         );
 
         let cpu = ResourceKind::Cpu;
         let plain0: Vec<TaskRef> = q.plain_kind(cpu, TenantId(0)).map(|(_, t, _)| t).collect();
         assert_eq!(plain0, vec![t(0)]);
-        let special0: Vec<TaskRef> = q.special_kind(cpu, TenantId(0)).map(|(_, t)| t).collect();
+        let special0: Vec<TaskRef> = q
+            .special_kind(cpu, TenantId(0))
+            .map(|(_, t, _)| t)
+            .collect();
         assert_eq!(special0, vec![t(1)]);
         assert_eq!(q.plain_floor(cpu, TenantId(0)), Some(ByteSize::gib(2)));
         assert_eq!(q.plain_floor(cpu, TenantId(1)), Some(ByteSize::gib(4)));
@@ -950,11 +1135,11 @@ mod tests {
         assert_eq!(q.iter_kind(cpu).collect::<Vec<_>>(), vec![t(0), t(1), t(2)]);
 
         // reclassify t(0) special → moves within its shard
-        q.reclassify(t(0), true, ByteSize::gib(2));
+        q.reclassify(t(0), special(ByteSize::gib(2)));
         assert_eq!(q.plain_kind(cpu, TenantId(0)).count(), 0);
         assert_eq!(q.special_kind(cpu, TenantId(0)).count(), 2);
         assert_eq!(q.plain_floor(cpu, TenantId(0)), None);
-        assert_eq!(q.class(&t(0)), Some((true, ByteSize::gib(2))));
+        assert_eq!(q.class(&t(0)), Some(&special(ByteSize::gib(2))));
 
         // removal drains the owning shard only
         q.remove(&t(2));
@@ -973,15 +1158,13 @@ mod tests {
             t(0),
             &[ResourceKind::Cpu, ResourceKind::Net],
             TenantId(0),
-            false,
-            ByteSize::ZERO,
+            TaskClass::plain(ByteSize::ZERO),
         );
         q.enqueue(
             t(1),
             &[ResourceKind::Net],
             TenantId(0),
-            false,
-            ByteSize::ZERO,
+            TaskClass::plain(ByteSize::ZERO),
         );
         q.remove(&t(0));
         // back via the CPU queue only: it resumes its old NET seat too,
@@ -990,8 +1173,7 @@ mod tests {
             t(0),
             &[ResourceKind::Cpu],
             TenantId(0),
-            false,
-            ByteSize::ZERO,
+            TaskClass::plain(ByteSize::ZERO),
         );
         assert_eq!(
             q.iter_kind(ResourceKind::Net).collect::<Vec<_>>(),
@@ -1071,12 +1253,122 @@ mod tests {
         ] {
             tm.record_finish(&sibling(r));
         }
-        assert_eq!(tm.queues.class(&view.task), Some((false, ByteSize::gib(1))));
+        assert_eq!(
+            tm.queues.class(&view.task).map(|c| (c.special(), c.peak)),
+            Some((false, ByteSize::gib(1)))
+        );
         // ...then a memory death completes the history: the raw lock
         // appears while the observed peak stays put
         tm.record_memory_failure(StageId(7), "w/s".into(), 0, ByteSize::ZERO, NodeId(2));
         assert!(tm.is_current(&view));
-        assert_eq!(tm.queues.class(&view.task), Some((true, ByteSize::gib(1))));
+        assert_eq!(
+            tm.queues.class(&view.task).map(|c| (c.special(), c.peak)),
+            Some((true, ByteSize::gib(1)))
+        );
+    }
+
+    /// The CPU-queue tasks tenant 0 has listed under `node`.
+    fn listed_under(tm: &TaskManager, node: usize) -> Vec<TaskRef> {
+        (tm.queues)
+            .node_kind(ResourceKind::Cpu, TenantId(0), NodeId(node))
+            .map(|e| e.task)
+            .collect()
+    }
+
+    #[test]
+    fn a_lock_moving_to_another_node_relists_queued_siblings() {
+        let mut tm = TaskManager::new(cfg());
+        let view = pview(0, 0, StageKind::ShuffleMap, false);
+        tm.ingest_fresh(std::slice::from_ref(&view), &[view.task]);
+        // a sibling sharing the DB key (w/s, 0) fills the full history on
+        // node 1, so the queued task is locked there
+        let sibling = |mut r: TaskRecord, node: usize| {
+            r.task.stage = StageId(7);
+            r.node = NodeId(node);
+            r
+        };
+        for r in [
+            record(10, 1, 1, 1, false),
+            record(2, 6, 1, 1, false),
+            record(1, 2, 6, 1, false),
+            record(10, 1, 1, 1, true),
+        ] {
+            tm.record_finish(&sibling(r, 1));
+        }
+        tm.record_memory_failure(StageId(7), "w/s".into(), 0, ByteSize::ZERO, NodeId(2));
+        assert_eq!(
+            tm.queues.class(&view.task).and_then(|c| c.lock),
+            Some(NodeId(1))
+        );
+        assert_eq!(listed_under(&tm, 1), vec![view.task]);
+        // a faster run on node 3 moves the lock; the lock still exists and
+        // the peak stays put, yet the listing must follow the target
+        tm.record_finish(&sibling(record(1, 1, 1, 1, false), 3));
+        assert!(tm.is_current(&view));
+        assert_eq!(
+            tm.queues.class(&view.task).and_then(|c| c.lock),
+            Some(NodeId(3))
+        );
+        assert_eq!(listed_under(&tm, 3), vec![view.task]);
+        assert!(
+            listed_under(&tm, 1).is_empty(),
+            "still listed under the old target"
+        );
+        assert!(tm.queues.verify().is_empty(), "{:?}", tm.queues.verify());
+    }
+
+    #[test]
+    fn a_node_local_change_alone_moves_the_listing() {
+        let mut tm = TaskManager::new(cfg());
+        let mut view = pview(0, 0, StageKind::ShuffleMap, false);
+        view.node_local = vec![NodeId(2)];
+        tm.ingest_fresh(std::slice::from_ref(&view), &[view.task]);
+        let before = tm.queues.class(&view.task).cloned().expect("queued");
+        assert_eq!(listed_under(&tm, 2), vec![view.task]);
+        // the refreshed view keeps the class side and the peak; only the
+        // replica moved
+        view.node_local = vec![NodeId(5)];
+        tm.ingest_fresh(std::slice::from_ref(&view), &[view.task]);
+        let after = tm.queues.class(&view.task).expect("queued");
+        assert_eq!(
+            (after.special(), after.peak),
+            (before.special(), before.peak)
+        );
+        assert!(tm.is_current(&view));
+        assert_eq!(listed_under(&tm, 5), vec![view.task]);
+        assert!(
+            listed_under(&tm, 2).is_empty(),
+            "still listed under the old replica"
+        );
+        assert!(tm.queues.verify().is_empty(), "{:?}", tm.queues.verify());
+    }
+
+    #[test]
+    fn verify_flags_a_listing_the_members_do_not_give() {
+        let mut q = TaskQueues::new();
+        let t = TaskRef {
+            stage: StageId(0),
+            index: 0,
+        };
+        q.enqueue(
+            t,
+            &[ResourceKind::Cpu],
+            TenantId(0),
+            special(ByteSize::gib(1)),
+        );
+        assert!(q.verify().is_empty());
+        // a stray listing under a node the class does not name
+        q.shards[0]
+            .by_node
+            .get_mut(ResourceKind::Cpu)
+            .resize_with(4, BTreeSet::new);
+        q.shards[0].by_node.get_mut(ResourceKind::Cpu)[3].insert(NodeEntry {
+            seat: 0,
+            task: t,
+            peak: ByteSize::gib(1),
+            locked: false,
+        });
+        assert_eq!(q.verify().len(), 1, "{:?}", q.verify());
     }
 
     #[test]
@@ -1088,9 +1380,14 @@ mod tests {
             index: i,
         };
         for (i, gib) in [(0, 4), (1, 1), (2, 1)] {
-            q.enqueue(t(i), &[cpu], TenantId(0), true, ByteSize::gib(gib));
+            q.enqueue(t(i), &[cpu], TenantId(0), special(ByteSize::gib(gib)));
         }
-        q.enqueue(t(3), &[cpu], TenantId(0), false, ByteSize::mib(512));
+        q.enqueue(
+            t(3),
+            &[cpu],
+            TenantId(0),
+            TaskClass::plain(ByteSize::mib(512)),
+        );
         assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(1)));
         assert_eq!(q.special_floor(cpu, TenantId(1)), None, "unknown tenant");
         q.remove(&t(1));
@@ -1102,9 +1399,9 @@ mod tests {
         q.remove(&t(2));
         assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(4)));
         // a peak change and a move to the plain side both unlink first
-        q.reclassify(t(0), true, ByteSize::gib(2));
+        q.reclassify(t(0), special(ByteSize::gib(2)));
         assert_eq!(q.special_floor(cpu, TenantId(0)), Some(ByteSize::gib(2)));
-        q.reclassify(t(0), false, ByteSize::gib(2));
+        q.reclassify(t(0), TaskClass::plain(ByteSize::gib(2)));
         assert_eq!(q.special_floor(cpu, TenantId(0)), None);
         assert_eq!(q.plain_floor(cpu, TenantId(0)), Some(ByteSize::mib(512)));
     }

@@ -4,7 +4,8 @@
 //! driven reclassification — so after *any* interleaving of those its
 //! shards must equal a from-scratch rebuild from a model that assigns
 //! seats itself: each queue's members in seat order, filtered by owning
-//! tenant and split by each member's latest classification. (The serve
+//! tenant and split by each member's latest classification, and each
+//! special member listed under every node its class names. (The serve
 //! driver's persistent offer state is
 //! cross-checked against a fresh build every round by the driver itself
 //! in debug builds, so every debug-built serve test covers it.)
@@ -13,14 +14,16 @@ mod seat_partition {
     use std::collections::HashMap;
 
     use proptest::prelude::*;
-    use rupam::tm::TaskQueues;
-    use rupam_cluster::ResourceKind;
+    use rupam::tm::{NodeEntry, TaskClass, TaskQueues};
+    use rupam_cluster::{NodeId, ResourceKind};
     use rupam_dag::app::StageId;
     use rupam_dag::{TaskRef, TenantId};
     use rupam_simcore::units::ByteSize;
 
     const TENANTS: usize = 3;
     const SLOTS: usize = 24;
+    /// Nodes a class may prefer or be locked to.
+    const NODES: usize = 4;
 
     fn task(slot: usize) -> TaskRef {
         TaskRef {
@@ -40,54 +43,69 @@ mod seat_partition {
         Enqueue {
             slot: usize,
             kinds: Vec<ResourceKind>,
-            special: bool,
-            peak_mib: u64,
+            class: TaskClass,
         },
-        /// A `DB_task_char` write changed the classification of a
-        /// still-queued task.
-        Reclassify {
-            slot: usize,
-            special: bool,
-            peak_mib: u64,
-        },
+        /// A refreshed view or a `DB_task_char` write changed the
+        /// classification of a still-queued task: its side, peak,
+        /// preferred nodes or lock target.
+        Reclassify { slot: usize, class: TaskClass },
         /// The task launched (or its stage was cancelled): leave every
         /// queue.
         Remove { slot: usize },
     }
 
+    /// A class from integer draws: a peak of one to four 128 MiB steps
+    /// (few values, so a reclassification often keeps the peak and moves
+    /// only the nodes or the lock); plain unless bit 5 of `bits` is set;
+    /// a special class takes its preferred nodes from the low four bits
+    /// of `place` and a lock target from the next three (targets past
+    /// the last node mean no lock), and is locked to node 0 when both
+    /// come out empty.
+    fn class(bits: u32, place: u32, peak_step: u64) -> TaskClass {
+        let peak = ByteSize::mib(128 * (1 + peak_step));
+        if bits & 32 == 0 {
+            return TaskClass::plain(peak);
+        }
+        let prefs: Vec<NodeId> = (0..NODES)
+            .filter(|n| place & (1 << n) != 0)
+            .map(NodeId)
+            .collect();
+        let target = (place >> 4) as usize;
+        let lock = match (target < NODES, prefs.is_empty()) {
+            (true, _) => Some(NodeId(target)),
+            (false, true) => Some(NodeId(0)),
+            (false, false) => None,
+        };
+        TaskClass { prefs, lock, peak }
+    }
+
     /// Ops drawn from integer tuples (the vendored proptest carries no
     /// oneof/subsequence combinators): `sel` weights enqueue :
     /// reclassify : remove at 3 : 2 : 2, `bits` is a 5-bit kind mask
-    /// (empty masks fall back to the CPU queue) plus the special flag.
+    /// (empty masks fall back to the CPU queue) plus the special flag,
+    /// and `place` picks a special class's nodes.
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u32..7, 0usize..SLOTS, 0u32..64, 64u64..512).prop_map(|(sel, slot, bits, peak_mib)| {
-            let special = bits & 32 != 0;
-            match sel {
-                0..=2 => {
-                    let mut kinds: Vec<ResourceKind> = ResourceKind::ALL
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| bits & (1 << i) != 0)
-                        .map(|(_, &k)| k)
-                        .collect();
-                    if kinds.is_empty() {
-                        kinds.push(ResourceKind::Cpu);
+        (0u32..7, 0usize..SLOTS, 0u32..64, 0u64..4, 0u32..128).prop_map(
+            |(sel, slot, bits, peak_step, place)| {
+                let class = class(bits, place, peak_step);
+                match sel {
+                    0..=2 => {
+                        let mut kinds: Vec<ResourceKind> = ResourceKind::ALL
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| bits & (1 << i) != 0)
+                            .map(|(_, &k)| k)
+                            .collect();
+                        if kinds.is_empty() {
+                            kinds.push(ResourceKind::Cpu);
+                        }
+                        Op::Enqueue { slot, kinds, class }
                     }
-                    Op::Enqueue {
-                        slot,
-                        kinds,
-                        special,
-                        peak_mib,
-                    }
+                    3 | 4 => Op::Reclassify { slot, class },
+                    _ => Op::Remove { slot },
                 }
-                3 | 4 => Op::Reclassify {
-                    slot,
-                    special,
-                    peak_mib,
-                },
-                _ => Op::Remove { slot },
-            }
-        })
+            },
+        )
     }
 
     /// The reference model: each member's latest classification, and
@@ -95,79 +113,90 @@ mod seat_partition {
     /// takes the next seat, kept across removals.
     #[derive(Default)]
     struct Model {
-        class: HashMap<usize, (bool, u64)>,
+        class: HashMap<usize, TaskClass>,
         seats: HashMap<(ResourceKind, usize), u64>,
         next_seat: u64,
     }
 
     impl Model {
-        fn enqueue(&mut self, slot: usize, kinds: &[ResourceKind], special: bool, peak_mib: u64) {
+        fn enqueue(&mut self, slot: usize, kinds: &[ResourceKind], class: TaskClass) {
             for &k in kinds {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.seats.entry((k, slot)) {
                     e.insert(self.next_seat);
                     self.next_seat += 1;
                 }
             }
-            self.class.insert(slot, (special, peak_mib));
+            self.class.insert(slot, class);
         }
 
-        /// A queue's members in seat order: every member holding a seat
-        /// in `kind`, not just the kinds it was last enqueued for.
-        fn live(&self, kind: ResourceKind) -> Vec<TaskRef> {
+        /// A queue's members in seat order, `(seat, slot)`: every member
+        /// holding a seat in `kind`, not just the kinds it was last
+        /// enqueued for.
+        fn live(&self, kind: ResourceKind) -> Vec<(u64, usize)> {
             let mut entries: Vec<(u64, usize)> = self
                 .class
                 .keys()
                 .filter_map(|&slot| Some((*self.seats.get(&(kind, slot))?, slot)))
                 .collect();
             entries.sort_unstable();
-            entries.into_iter().map(|(_, slot)| task(slot)).collect()
+            entries
         }
     }
 
     /// Every queue equals the model's, every shard equals it filtered by
-    /// tenant and split by the model's classification, and the floors
-    /// agree.
+    /// tenant and split by the model's classification, every node
+    /// listing holds exactly the special members naming that node, the
+    /// floors agree, and the queues' own rebuild check passes.
     fn assert_partition(q: &TaskQueues, model: &Model) {
-        let class = &model.class;
         for kind in ResourceKind::ALL {
             let live = model.live(kind);
             assert_eq!(
                 q.iter_kind(kind).collect::<Vec<_>>(),
-                live,
+                live.iter().map(|&(_, slot)| task(slot)).collect::<Vec<_>>(),
                 "{kind:?} queue diverged from the model"
             );
             let mut covered = 0usize;
             for t in 0..TENANTS {
-                let of_tenant = |task: &&TaskRef| {
-                    let slot = task.stage.index() * 8 + task.index;
-                    tenant(slot) == TenantId(t) && class.contains_key(&slot)
+                let of_tenant: Vec<(u64, usize, &TaskClass)> = live
+                    .iter()
+                    .filter(|&&(_, slot)| tenant(slot) == TenantId(t))
+                    .map(|&(seat, slot)| (seat, slot, &model.class[&slot]))
+                    .collect();
+                let side = |special: bool| -> Vec<(u64, TaskRef, ByteSize)> {
+                    (of_tenant.iter())
+                        .filter(|(_, _, c)| c.special() == special)
+                        .map(|&(seat, slot, c)| (seat, task(slot), c.peak))
+                        .collect()
                 };
-                let class_of = |task: &TaskRef| class[&(task.stage.index() * 8 + task.index)];
-                let want_s: Vec<TaskRef> = live
-                    .iter()
-                    .filter(of_tenant)
-                    .filter(|task| class_of(task).0)
-                    .copied()
-                    .collect();
-                let want_p: Vec<(TaskRef, ByteSize)> = live
-                    .iter()
-                    .filter(of_tenant)
-                    .filter(|task| !class_of(task).0)
-                    .map(|&task| (task, ByteSize::mib(class_of(&task).1)))
-                    .collect();
+                let (want_s, want_p) = (side(true), side(false));
                 let t = TenantId(t);
-                let got_s: Vec<TaskRef> = q.special_kind(kind, t).map(|(_, task)| task).collect();
+                let got_s: Vec<_> = q.special_kind(kind, t).collect();
                 assert_eq!(got_s, want_s, "{kind:?} special shard diverged for {t:?}");
-                let got_p: Vec<(TaskRef, ByteSize)> = q
-                    .plain_kind(kind, t)
-                    .map(|(_, task, peak)| (task, peak))
-                    .collect();
+                let got_p: Vec<_> = q.plain_kind(kind, t).collect();
                 assert_eq!(got_p, want_p, "{kind:?} plain shard diverged for {t:?}");
                 assert_eq!(
                     q.plain_floor(kind, t),
-                    want_p.iter().map(|&(_, p)| p).min(),
+                    want_p.iter().map(|&(_, _, p)| p).min(),
                     "{kind:?} plain floor diverged for {t:?}"
                 );
+                for n in (0..NODES).map(NodeId) {
+                    let want_n: Vec<NodeEntry> = (of_tenant.iter())
+                        .filter(|(_, _, c)| {
+                            c.special() && (c.prefs.contains(&n) || c.lock == Some(n))
+                        })
+                        .map(|&(seat, slot, c)| NodeEntry {
+                            seat,
+                            task: task(slot),
+                            peak: c.peak,
+                            locked: c.lock == Some(n),
+                        })
+                        .collect();
+                    let got_n: Vec<NodeEntry> = q.node_kind(kind, t, n).collect();
+                    assert_eq!(
+                        got_n, want_n,
+                        "{kind:?} listing under {n:?} diverged for {t:?}"
+                    );
+                }
                 covered += got_s.len() + got_p.len();
             }
             assert_eq!(
@@ -176,7 +205,12 @@ mod seat_partition {
                 "{kind:?} shards must cover the live queue exactly"
             );
         }
-        assert_eq!(q.len(), class.len(), "membership diverged from the model");
+        assert_eq!(
+            q.len(),
+            model.class.len(),
+            "membership diverged from the model"
+        );
+        assert_eq!(q.verify(), Vec::<String>::new());
     }
 
     proptest! {
@@ -188,14 +222,14 @@ mod seat_partition {
             let mut model = Model::default();
             for op in ops {
                 match op {
-                    Op::Enqueue { slot, kinds, special, peak_mib } => {
-                        q.enqueue(task(slot), &kinds, tenant(slot), special, ByteSize::mib(peak_mib));
-                        model.enqueue(slot, &kinds, special, peak_mib);
+                    Op::Enqueue { slot, kinds, class } => {
+                        q.enqueue(task(slot), &kinds, tenant(slot), class.clone());
+                        model.enqueue(slot, &kinds, class);
                     }
-                    Op::Reclassify { slot, special, peak_mib } => {
-                        q.reclassify(task(slot), special, ByteSize::mib(peak_mib));
+                    Op::Reclassify { slot, class } => {
+                        q.reclassify(task(slot), class.clone());
                         if let Some(c) = model.class.get_mut(&slot) {
-                            *c = (special, peak_mib);
+                            *c = class;
                         }
                     }
                     Op::Remove { slot } => {
