@@ -164,12 +164,7 @@ impl RupamScheduler {
                 &mut self.straggler,
                 input,
             ));
-            cmds.extend(gpu_race_commands(
-                &self.cfg,
-                &mut self.straggler,
-                input,
-                &self.tm,
-            ));
+            cmds.extend(gpu_race_commands(&self.cfg, &mut self.straggler, input));
             for (task, bad_node) in resource_straggler_candidates(&self.cfg, input, &self.tm) {
                 let kind = self
                     .stage_templates

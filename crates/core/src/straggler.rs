@@ -15,7 +15,6 @@
 //!   node* becomes speculatable even before Spark's 75 % quantile.
 
 use rupam_simcore::time::SimTime;
-use rupam_simcore::units::ByteSize;
 
 use rupam_cluster::resources::ResourceKind;
 use rupam_cluster::NodeId;
@@ -41,14 +40,6 @@ impl StragglerState {
             last_kill: vec![None; n],
             raced: Default::default(),
         }
-    }
-
-    /// Reset between runs.
-    pub fn reset(&mut self) {
-        for k in &mut self.last_kill {
-            *k = None;
-        }
-        self.raced.clear();
     }
 }
 
@@ -117,7 +108,6 @@ pub fn gpu_race_commands(
     cfg: &RupamConfig,
     state: &mut StragglerState,
     input: &OfferInput<'_>,
-    tm: &TaskManager,
 ) -> Vec<Command> {
     let mut cmds = Vec::new();
     for view in candidate_views(input) {
@@ -149,7 +139,6 @@ pub fn gpu_race_commands(
             }
         }
     }
-    let _ = tm;
     cmds
 }
 
@@ -213,15 +202,6 @@ pub fn relocation_target(
     ranking.into_iter().find(|&n| n != avoid)
 }
 
-/// Minimum free memory across views — used by tests.
-pub fn min_free_mem(views: &[NodeView]) -> ByteSize {
-    views
-        .iter()
-        .map(|v| v.free_mem)
-        .min()
-        .unwrap_or(ByteSize::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +210,7 @@ mod tests {
     use rupam_dag::task::{InputSource, TaskDemand, TaskTemplate};
     use rupam_exec::scheduler::RunningTaskView;
     use rupam_simcore::time::SimDuration;
+    use rupam_simcore::units::ByteSize;
 
     fn app_with_gpu_stage() -> Application {
         let mut b = rupam_dag::AppBuilder::new("g");
@@ -372,7 +353,6 @@ mod tests {
         let cluster = ClusterSpec::hydra();
         let app = app_with_gpu_stage();
         let cfg = RupamConfig::default();
-        let tm = TaskManager::new(cfg.clone());
         let mut st = StragglerState::new(cluster.len());
         let mut views = base_views(&cluster);
         // a GPU-capable task grinding on a thor CPU for 30 s
@@ -389,7 +369,7 @@ mod tests {
             changed: None,
             pending_fresh: vec![],
         };
-        let cmds = gpu_race_commands(&cfg, &mut st, &input, &tm);
+        let cmds = gpu_race_commands(&cfg, &mut st, &input);
         assert_eq!(cmds.len(), 1);
         match &cmds[0] {
             Command::Launch {
@@ -404,7 +384,7 @@ mod tests {
             _ => panic!(),
         }
         // raced once only
-        assert!(gpu_race_commands(&cfg, &mut st, &input, &tm).is_empty());
+        assert!(gpu_race_commands(&cfg, &mut st, &input).is_empty());
     }
 
     #[test]
@@ -412,7 +392,6 @@ mod tests {
         let cluster = ClusterSpec::hydra();
         let app = app_with_gpu_stage();
         let cfg = RupamConfig::default();
-        let tm = TaskManager::new(cfg.clone());
         let mut st = StragglerState::new(cluster.len());
         let mut views = base_views(&cluster);
         views[0].running = vec![running(0, 1, 1, false)];
@@ -428,7 +407,7 @@ mod tests {
             changed: None,
             pending_fresh: vec![],
         };
-        assert!(gpu_race_commands(&cfg, &mut st, &input, &tm).is_empty());
+        assert!(gpu_race_commands(&cfg, &mut st, &input).is_empty());
     }
 
     #[test]

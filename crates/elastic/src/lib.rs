@@ -481,11 +481,9 @@ impl ElasticConfig {
     /// followed by `[[pool]]` tables (`name`, `nodes` as an inline
     /// array of indices, `mean_price`, and optional `reversion`,
     /// `volatility`, `preempt_base`, `preempt_slope`, `notice`). `#`
-    /// starts a comment. Hand-rolled like [`FaultScript::parse_toml`] —
-    /// the build is offline and the grammar is tiny.
-    ///
-    /// [`FaultScript::parse_toml`]:
-    ///     https://docs.rs/rupam-faults (see `rupam_faults::FaultScript`)
+    /// starts a comment. Hand-rolled like the fault-script parser,
+    /// `rupam_faults::FaultScript::parse_toml` (this crate does not depend
+    /// on `rupam-faults`) — the build is offline and the grammar is tiny.
     pub fn parse_toml(text: &str) -> Result<Self, String> {
         #[derive(PartialEq)]
         enum Section {

@@ -1,50 +1,55 @@
 //! The control layer both hosts run: task, stage and job bookkeeping,
-//! and the fleet.
+//! the attempt table and the fleet.
 //!
 //! RUPAM's task manager, resource monitor and dispatcher sit in one
 //! driver control loop. Its bookkeeping is one [`ControlPlane`], owned
 //! by the sim engine and by the live serve driver alike: which tasks are
 //! pending, running or done, which stages are released, which jobs have
 //! arrived and finished, where map outputs live, each task's observed
-//! peak, the fault-recovery ledger, the persistent [`OfferState`] and
-//! the [`Fleet`] (membership, health and capacity). Every transition is
-//! defined once here — job submission and stage release, a won attempt,
-//! a failed one, the lineage re-pend after node loss, and the pending
-//! views an offer round hands the scheduler — and acts through [`Io`]:
-//! the host's clock, its scheduler and its [`EventSink`]. The fleet
-//! rules ([`fleet`]: liveness beacons, the detector round, node loss,
-//! the capacity controller, drain notices and reclaims, and the fleet
-//! fields of every node view) act through the host itself.
+//! peak, the fault-recovery ledger, the persistent [`OfferState`], the
+//! attempt table (every launched [`Attempt`], each node's running list,
+//! memory and executor heap) and the [`Fleet`] (membership, health and
+//! capacity). Every transition is defined once here — job submission and
+//! stage release, launch admission and registration, a won attempt, a
+//! failed one, the lineage re-pend after node loss, and the views an
+//! offer round hands the scheduler — and acts through [`Io`]: the host's
+//! clock, its scheduler and its [`EventSink`]. The fleet rules
+//! ([`fleet`]: liveness beacons, the detector round, node loss, the
+//! capacity controller, drain notices and reclaims, and the fleet fields
+//! of every node view) act through the host itself.
 //!
-//! What stays with each host ([`ControlHost`]) is execution: storing and
-//! running attempts, the host's part of each node view, the
-//! executor-cache tier (it feeds the pending views' `process_nodes`),
-//! and the hooks the fleet rules call.
+//! What stays with each host ([`ControlHost`]) is how an attempt runs
+//! and the locality and GPU rules of its launch, the host's part of each
+//! node view, the executor-cache tier (it feeds the pending views'
+//! `process_nodes`), and the hooks the fleet rules call.
 
 use std::collections::HashMap;
 
-use rupam_cluster::{ClusterSpec, NodeId};
+use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
 use rupam_dag::app::{Application, JobId, StageId};
 use rupam_dag::data::DataLayout;
 use rupam_dag::lineage::StageTracker;
 use rupam_dag::stream::MergedStream;
 use rupam_dag::task::{CacheKey, InputSource};
-use rupam_dag::{TaskRef, TenantId};
+use rupam_dag::{Locality, TaskRef, TenantId};
+use rupam_metrics::breakdown::TaskBreakdown;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
-use rupam_metrics::trace::AbortCause;
+use rupam_metrics::trace::{AbortCause, LaunchReason};
 use rupam_simcore::time::{SimDuration, SimTime};
 use rupam_simcore::units::ByteSize;
 
 use crate::config::{MemConfig, SimConfig};
 use crate::engine::{EngineEvent, EventCtx, EventSink};
 use crate::offer_state::{OfferHost, OfferState, ShufflePrefs};
-use crate::scheduler::{Command, NodeView, OfferInput, PendingTaskView, Scheduler};
+use crate::scheduler::{
+    Command, NodeView, OfferInput, PendingTaskView, RunningTaskView, Scheduler,
+};
 use crate::shuffle::MapOutputLedger;
 
 pub mod fleet;
 pub use fleet::Fleet;
 
-/// A host's id for one launched attempt, unique within a run.
+/// One launched attempt's id: the launch count when it launched.
 pub type AttemptId = usize;
 
 /// Scheduling state of one task.
@@ -65,6 +70,55 @@ pub enum TaskState {
     },
     /// An attempt won.
     Done,
+}
+
+/// One launched attempt. Its job and template key are its stage's.
+#[derive(Clone, Debug)]
+pub struct Attempt {
+    /// The task it runs.
+    pub task: TaskRef,
+    /// Its attempt number.
+    pub attempt_no: u32,
+    /// The node it runs on.
+    pub node: NodeId,
+    /// Is it a speculative copy?
+    pub speculative: bool,
+    /// Where its input comes from.
+    pub locality: Locality,
+    /// When it launched.
+    pub launched_at: SimTime,
+    /// The memory it holds on its node while it runs.
+    pub peak_mem: ByteSize,
+    /// Does it run on a GPU?
+    pub used_gpu: bool,
+    /// Is it still running?
+    pub alive: bool,
+}
+
+/// One node's executor: its heap, sized once at the start of the run, the
+/// live attempts in it, oldest first, and the sum of their peaks.
+#[derive(Default)]
+struct Executor {
+    executor_mem: ByteSize,
+    running: Vec<AttemptId>,
+    mem_in_use: ByteSize,
+}
+
+/// Why a host drops a `Command::Launch` instead of running it, like a
+/// lost RPC: the view the scheduler placed against went stale.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaunchDrop {
+    /// The stage is not released, the task no longer pending, or the
+    /// copy not the one extra copy of a lone original.
+    Stale,
+    /// The node does not exist, takes no work, or was declared dead.
+    Dead,
+    /// The node is outside the fleet.
+    Autoscale,
+    /// The node drains towards a preemption reclaim.
+    Preempt,
+    /// A speculative copy, on a host that runs none.
+    Copy,
 }
 
 /// One stream job (a plain application runs as a one-job stream).
@@ -110,21 +164,20 @@ pub trait ControlHost<'a> {
     fn io(&mut self) -> (&mut ControlPlane<'a>, Io<'_>);
     /// The host's clock.
     fn now(&self) -> SimTime;
-    /// The host's part of a from-scratch view of `node`: `blocked` says
-    /// whether the host holds the node back; the fleet fields (`dead`,
-    /// `suspect`, `tier`, `draining`, `preempt_risk`, `heartbeat_age`)
-    /// are the fleet's to fill.
-    fn node_view(&self, node: NodeId) -> NodeView;
+    /// Fill the host's part of a from-scratch `view`: utilisation, idle
+    /// GPUs, and `blocked` when the host holds the node back. Memory and
+    /// running attempts are the table's, the fleet fields (`dead`,
+    /// `suspect`, `tier`, `draining`, `preempt_risk`, `heartbeat_age`) the
+    /// fleet's.
+    fn host_view(&self, view: &mut NodeView);
     /// The nodes whose executor cache holds `key` as read by `stage`
     /// (`PROCESS_LOCAL`). Hosts without an executor cache hold none.
     fn process_nodes(&self, _stage: StageId, _key: &CacheKey) -> Vec<NodeId> {
         Vec::new()
     }
-    /// The attempts running on `node`, as `(id, task)`, oldest first.
-    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)>;
-    /// Attempt `id` dies with `node`: fail it as `NodeFaulted` through
-    /// [`ControlPlane::attempt_failed`].
-    fn kill_attempt(&mut self, node: NodeId, id: AttemptId);
+    /// Stop executing attempt `id` and fail it as `outcome`
+    /// ([`ControlPlane::end_attempt`], [`ControlPlane::attempt_failed`]).
+    fn stop_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome);
     /// Wipe what `node`'s loss takes with it on the host's side; its
     /// attempts are already failed.
     fn wipe(&mut self, node: NodeId);
@@ -152,11 +205,13 @@ pub trait ControlHost<'a> {
     fn wake(&mut self);
 }
 
-/// A control host builds the offer views: its node views with the
-/// fleet's fields, and its control plane's pending views.
+/// A control host builds the offer views: each node view from the
+/// attempt table, the host's part and the fleet's fields, and its control
+/// plane's pending views.
 impl<'a, H: ControlHost<'a>> OfferHost for H {
     fn node_view(&self, node: NodeId) -> NodeView {
-        let mut view = ControlHost::node_view(self, node);
+        let mut view = self.control().table_view(node, self.now());
+        self.host_view(&mut view);
         self.control().fleet.overlay(&mut view, self.now());
         view
     }
@@ -176,8 +231,8 @@ impl<'a, H: ControlHost<'a>> OfferHost for H {
     }
 }
 
-/// The task, stage and job bookkeeping of one run, its offer state and
-/// its fleet.
+/// The task, stage and job bookkeeping of one run, its attempts, its
+/// offer state and its fleet.
 pub struct ControlPlane<'a> {
     cluster: &'a ClusterSpec,
     mem: &'a MemConfig,
@@ -197,14 +252,19 @@ pub struct ControlPlane<'a> {
     /// that have not yet re-run to completion, with the kill time.
     kill_pending: HashMap<TaskRef, SimTime>,
     offers: OfferState,
+    /// Every attempt launched, indexed by [`AttemptId`]; never shrinks.
+    attempts: Vec<Attempt>,
+    executors: Vec<Executor>,
     fleet: Fleet<'a>,
 }
 
 impl<'a> ControlPlane<'a> {
     /// Bookkeeping for `app` on `cluster` under `config`'s retry limit:
     /// the jobs of `stream`, or without one a single job arriving at
-    /// t = 0, run on `fleet`. Nothing is submitted yet, and every task
-    /// is pending as attempt 0.
+    /// t = 0, run on `fleet`. `sched` hears that the application starts
+    /// and sizes every executor heap, capped at the node's memory less
+    /// the OS reserve. Nothing is submitted yet, and every task is
+    /// pending as attempt 0.
     pub fn new(
         cluster: &'a ClusterSpec,
         config: &'a SimConfig,
@@ -212,7 +272,9 @@ impl<'a> ControlPlane<'a> {
         layout: &'a DataLayout,
         stream: Option<&MergedStream>,
         fleet: Fleet<'a>,
+        sched: &mut dyn Scheduler,
     ) -> Self {
+        sched.on_app_start(app, cluster);
         let job = |tenant, arrival| Job {
             tenant,
             arrival,
@@ -250,6 +312,14 @@ impl<'a> ControlPlane<'a> {
             observed_peak: HashMap::new(),
             kill_pending: HashMap::new(),
             offers: OfferState::new(app, cluster.len()),
+            attempts: Vec::new(),
+            executors: (cluster.iter())
+                .map(|(id, spec)| Executor {
+                    executor_mem: (sched.executor_memory(cluster, id))
+                        .min(spec.mem.saturating_sub(config.mem.os_reserved)),
+                    ..Executor::default()
+                })
+                .collect(),
             fleet,
         }
     }
@@ -327,16 +397,6 @@ impl<'a> ControlPlane<'a> {
         }
         self.offers.stage_released(sid);
         io.sched.on_stage_ready(self.app.stage(sid), io.ctx.at);
-    }
-
-    /// Attempt `id` of `task` launched.
-    pub fn launched(&mut self, task: TaskRef, id: AttemptId) {
-        let state = &mut self.tasks[task.stage.index()][task.index];
-        match state {
-            TaskState::Pending { .. } => *state = TaskState::Running { attempts: vec![id] },
-            TaskState::Running { attempts } => attempts.push(id),
-            TaskState::Done => unreachable!("launch of a finished task"),
-        }
     }
 
     /// An attempt ran to its end, as `record` says. Its peak feeds the
@@ -470,6 +530,221 @@ impl<'a> ControlPlane<'a> {
             process_nodes,
             node_local,
         }
+    }
+
+    /// Attempt `id`.
+    pub fn attempt(&self, id: AttemptId) -> &Attempt {
+        &self.attempts[id]
+    }
+
+    /// Attempts launched so far: the next launch's [`AttemptId`].
+    pub fn launches(&self) -> usize {
+        self.attempts.len()
+    }
+
+    /// The attempts running on `node`, oldest first.
+    pub fn running(&self, node: NodeId) -> &[AttemptId] {
+        &self.executors[node.index()].running
+    }
+
+    /// Every live attempt, node by node: `O(live)`, not `O(launched)`.
+    pub fn live(&self) -> impl Iterator<Item = AttemptId> + '_ {
+        (self.executors.iter()).flat_map(|e| e.running.iter().copied())
+    }
+
+    /// The memory `node`'s running attempts hold.
+    pub fn mem_in_use(&self, node: NodeId) -> ByteSize {
+        self.executors[node.index()].mem_in_use
+    }
+
+    /// `node`'s executor heap.
+    pub fn executor_mem(&self, node: NodeId) -> ByteSize {
+        self.executors[node.index()].executor_mem
+    }
+
+    /// `node`'s heap pressure (`mem_in_use / executor_mem`) in percent.
+    pub fn pressure_pct(&self, node: NodeId) -> u32 {
+        let (used, heap) = (self.mem_in_use(node), self.executor_mem(node));
+        (used.as_f64() / heap.as_f64().max(1.0) * 100.0) as u32
+    }
+
+    /// May `task` launch on `node` (as a copy when `speculative`)? Its
+    /// attempt number, or why the host drops the command. `accepts`
+    /// says whether the host takes work on an existing node. The checks
+    /// run stale first, then dead, autoscale and preempt.
+    pub fn admit(
+        &self,
+        task: TaskRef,
+        node: NodeId,
+        speculative: bool,
+        accepts: impl FnOnce(NodeId) -> bool,
+    ) -> Result<u32, LaunchDrop> {
+        if !self.released(task.stage) {
+            return Err(LaunchDrop::Stale);
+        }
+        let attempt_no = match self.task(task) {
+            TaskState::Pending { attempt_no, .. } if !speculative => *attempt_no,
+            // one extra copy at most, never a copy of a copy
+            TaskState::Running { attempts }
+                if speculative && attempts.len() == 1 && !self.attempt(attempts[0]).speculative =>
+            {
+                self.attempt(attempts[0]).attempt_no + 1
+            }
+            _ => return Err(LaunchDrop::Stale),
+        };
+        if node.index() >= self.executors.len() || !accepts(node) || self.fleet.is_dead(node) {
+            return Err(LaunchDrop::Dead);
+        }
+        if !self.fleet.provisioned(node) {
+            return Err(LaunchDrop::Autoscale);
+        }
+        if self.fleet.draining(node) {
+            return Err(LaunchDrop::Preempt);
+        }
+        Ok(attempt_no)
+    }
+
+    /// Register `attempt`, admitted by [`ControlPlane::admit`]: it joins
+    /// its node holding its peak, its task runs it, and
+    /// [`EngineEvent::Launch`] is published. Its id.
+    pub fn register(
+        &mut self,
+        attempt: Attempt,
+        reason: LaunchReason,
+        io: &mut Io<'_>,
+    ) -> AttemptId {
+        let id = self.attempts.len();
+        let executor = &mut self.executors[attempt.node.index()];
+        executor.running.push(id);
+        executor.mem_in_use += attempt.peak_mem;
+        let task = attempt.task;
+        let state = &mut self.tasks[task.stage.index()][task.index];
+        match state {
+            TaskState::Pending { .. } => *state = TaskState::Running { attempts: vec![id] },
+            TaskState::Running { attempts } => attempts.push(id),
+            TaskState::Done => unreachable!("launch of a finished task"),
+        }
+        let job = self.job_of(task.stage);
+        io.publish(EngineEvent::Launch {
+            task,
+            job,
+            tenant: self.jobs[job.index()].tenant,
+            node: attempt.node,
+            attempt: attempt.attempt_no,
+            speculative: attempt.speculative,
+            use_gpu: attempt.used_gpu,
+            locality: attempt.locality,
+            reason,
+        });
+        self.attempts.push(attempt);
+        id
+    }
+
+    /// Attempt `id` ends at `at` as `outcome`, having run as `breakdown`
+    /// says: it leaves its node, and its record is returned for
+    /// [`ControlPlane::attempt_finished`] or [`ControlPlane::attempt_failed`].
+    pub fn end_attempt(
+        &mut self,
+        id: AttemptId,
+        outcome: AttemptOutcome,
+        at: SimTime,
+        breakdown: TaskBreakdown,
+    ) -> TaskRecord {
+        let a = &mut self.attempts[id];
+        debug_assert!(a.alive, "attempt {id} ended twice");
+        a.alive = false;
+        let executor = &mut self.executors[a.node.index()];
+        executor.running.retain(|&x| x != id);
+        executor.mem_in_use = executor.mem_in_use.saturating_sub(a.peak_mem);
+        let a = &self.attempts[id];
+        TaskRecord {
+            task: a.task,
+            job: self.job_of(a.task.stage),
+            template_key: self.app.stage(a.task.stage).template_key,
+            attempt: a.attempt_no,
+            node: a.node,
+            speculative: a.speculative,
+            locality: a.locality,
+            launched_at: a.launched_at,
+            finished_at: at,
+            outcome,
+            breakdown,
+            peak_mem: a.peak_mem,
+            used_gpu: a.used_gpu,
+        }
+    }
+
+    /// The attempts a `KillAndRequeue` of `task` on `node` stops, oldest
+    /// first (none for a stale command), publishing
+    /// [`EngineEvent::KillRequeue`] when there are any.
+    pub fn kill_requeue(&self, task: TaskRef, node: NodeId, io: &mut Io<'_>) -> Vec<AttemptId> {
+        let TaskState::Running { attempts } = self.task(task) else {
+            return Vec::new();
+        };
+        let on_node: Vec<AttemptId> = (attempts.iter().copied())
+            .filter(|&id| self.attempt(id).node == node)
+            .collect();
+        if !on_node.is_empty() {
+            io.publish(EngineEvent::KillRequeue { task, node });
+        }
+        on_node
+    }
+
+    /// The table's part of `node`'s view at `now`: heap, memory and running
+    /// attempts; the host's and the fleet's fields are left idle.
+    fn table_view(&self, node: NodeId, now: SimTime) -> NodeView {
+        let executor = &self.executors[node.index()];
+        let running = (executor.running.iter())
+            .map(|&id| {
+                let a = self.attempt(id);
+                RunningTaskView {
+                    task: a.task,
+                    speculative: a.speculative,
+                    elapsed: now.since(a.launched_at),
+                    peak_mem: a.peak_mem,
+                    on_gpu: a.used_gpu,
+                }
+            })
+            .collect();
+        NodeView {
+            node,
+            executor_mem: executor.executor_mem,
+            mem_in_use: executor.mem_in_use,
+            free_mem: (executor.executor_mem).saturating_sub(executor.mem_in_use),
+            running,
+            cpu_util: 0.0,
+            net_util: 0.0,
+            disk_util: 0.0,
+            gpus_idle: 0,
+            blocked: false,
+            heartbeat_age: SimDuration::ZERO,
+            dead: false,
+            suspect: false,
+            tier: NodeTier::OnDemand,
+            draining: false,
+            preempt_risk: 0.0,
+        }
+    }
+
+    /// Do the running lists hold exactly the live attempts, each once and
+    /// on its own node, and does each node's `mem_in_use` equal the sum
+    /// of their peaks? `O(launched)`: debug checks only.
+    pub fn attempts_consistent(&self) -> bool {
+        let mut listed = vec![false; self.attempts.len()];
+        for (i, executor) in self.executors.iter().enumerate() {
+            let mut held = ByteSize::ZERO;
+            for &id in &executor.running {
+                let a = &self.attempts[id];
+                if !a.alive || a.node.index() != i || std::mem::replace(&mut listed[id], true) {
+                    return false;
+                }
+                held += a.peak_mem;
+            }
+            if held != executor.mem_in_use {
+                return false;
+            }
+        }
+        (self.attempts.iter().zip(&listed)).all(|(a, &l)| a.alive == l)
     }
 
     /// Run `f` on the offer state with `host` as its view builder.

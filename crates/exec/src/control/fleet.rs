@@ -10,7 +10,7 @@
 //! drain notice and its reclaim, and the fleet fields of every
 //! [`NodeView`].
 //!
-//! What differs between the hosts is a [`ControlHost`] hook: killing a
+//! What differs between the hosts is a [`ControlHost`] hook: stopping a
 //! lost node's attempts and wiping its executor, what counts as down,
 //! the joined-node gate (the engine's provisioning latency), how a drain
 //! deadline is timed, how config seconds map onto host time, and how an
@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
 use rupam_elastic::{Controller, ElasticConfig, FleetNode, ScalingAction};
 use rupam_faults::{FailureDetector, NodeHealth};
+use rupam_metrics::record::AttemptOutcome;
 use rupam_metrics::report::CostSummary;
 use rupam_simcore::time::{SimDuration, SimTime};
 
@@ -231,10 +232,11 @@ impl<'a> ControlPlane<'a> {
     /// drain notice is cancelled, and every finished map task whose
     /// output lived there re-pends through the lineage.
     pub fn node_lost<H: ControlHost<'a>>(host: &mut H, node: NodeId) {
-        for (id, task) in host.running_on(node) {
+        for id in host.control().running(node).to_vec() {
             let (ctl, mut io) = host.io();
+            let task = ctl.attempt(id).task;
             ctl.task_killed(task, node, &mut io);
-            host.kill_attempt(node, id);
+            host.stop_attempt(id, AttemptOutcome::NodeFaulted);
         }
         host.wipe(node);
         // the node is already gone: a later re-provision must not
@@ -259,7 +261,7 @@ impl<'a> ControlPlane<'a> {
                 provisioned: host.control().fleet.provisioned(id),
                 down: host.down(id),
                 draining: host.control().fleet.draining(id),
-                busy: !host.running_on(id).is_empty(),
+                busy: !host.control().running(id).is_empty(),
             })
             .collect();
         let backlog = Self::backlog(host);

@@ -38,7 +38,7 @@ pub(crate) enum Event {
     Heartbeat,
     SpeculationCheck,
     OomCheck { node: NodeId, epoch: u64 },
-    ExecutorRestored { node: NodeId },
+    ExecutorRestored,
     JobSubmitted { job: JobId },
     Fault { index: usize },
     SlowdownEnd { node: NodeId, epoch: u64 },
@@ -155,8 +155,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             );
 
             debug_assert!(
-                self.state.live_lists_consistent(),
-                "the nodes' running lists must hold exactly the alive attempts, each once"
+                self.ctl.attempts_consistent(),
+                "the running lists must hold exactly the live attempts, each once"
             );
             self.recompute_rates();
             self.record_utilization();
@@ -181,7 +181,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             // complete all phases that just hit zero, in attempt-id order
             // so same-instant completions (a race's winner and its
             // `LostRace` sibling) resolve by launch order, not node order
-            let mut finished: Vec<AttemptId> = (self.state.live())
+            let mut finished: Vec<AttemptId> = (self.ctl.live())
                 .filter(|&id| {
                     (self.state.attempts[id].current_phase()).is_some_and(|p| p.work <= WORK_EPS)
                 })
@@ -191,7 +191,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 // completing an attempt may kill its race siblings; a
                 // sibling that was due to finish at this very instant is
                 // already dead and must be skipped
-                if self.state.attempts[id].alive {
+                if self.ctl.attempt(id).alive {
                     self.phase_complete(id);
                 }
             }
@@ -227,10 +227,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let dt = target.since(self.now);
         if !dt.is_zero() {
             let secs = dt.as_secs_f64();
-            let ClusterState {
-                nodes, attempts, ..
-            } = &mut self.state;
-            for &id in nodes.iter().flat_map(|n| &n.running) {
+            let attempts = &mut self.state.attempts;
+            for id in self.ctl.live() {
                 let a = &mut attempts[id];
                 if let Some(phase) = a.phases.front_mut() {
                     phase.work = (phase.work - a.rate * secs).max(0.0);
@@ -256,7 +254,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             let mut n_gpu = 0u32;
             let mut n_net = 0u32;
             let mut n_disk = 0u32;
-            for &aid in &node.running {
+            let running = self.ctl.running(NodeId(node_idx));
+            for &aid in running {
                 match self.state.attempts[aid].current_phase().map(|p| p.resource) {
                     Some(PhaseResource::Cpu) => n_cpu += 1,
                     Some(PhaseResource::Gpu) => n_gpu += 1,
@@ -265,7 +264,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                     Some(PhaseResource::Wait) | None => {}
                 }
             }
-            for &aid in &node.running {
+            for &aid in running {
                 let rate = match self.state.attempts[aid].current_phase().map(|p| p.resource) {
                     Some(PhaseResource::Cpu) => {
                         spec.cpu_ghz * (spec.cores as f64 / n_cpu as f64).min(1.0)
@@ -293,7 +292,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
 
     /// The earliest instant any live attempt finishes its current phase.
     fn next_completion(&self) -> Option<SimTime> {
-        (self.state.live())
+        (self.ctl.live())
             .filter_map(|id| {
                 let a = &self.state.attempts[id];
                 let p = a.current_phase()?;
@@ -345,11 +344,8 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 }
             }
             Event::OomCheck { node, epoch } => self.oom_check(node, epoch),
-            Event::ExecutorRestored { node } => {
-                // nothing to restore explicitly; blocked_until gates offers
-                let _ = node;
-                self.need_offers = true;
-            }
+            // nothing to restore explicitly; blocked_until gates offers
+            Event::ExecutorRestored => self.need_offers = true,
             Event::JobSubmitted { job } => self.submit_job(job),
             Event::Fault { index } => self.apply_fault(index),
             Event::SlowdownEnd { node, epoch } => {

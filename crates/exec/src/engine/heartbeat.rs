@@ -42,7 +42,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // scheduled — the scheduler is refusing every placement.
         // Real Spark jobs die with "Initial job has not accepted
         // any resources"; we abort the run likewise.
-        let anything_running = self.state.anything_running();
+        let anything_running = self.ctl.live().next().is_some();
         let anything_pending = ControlPlane::backlog(self) > 0;
         // an empty cluster waiting for the next job arrival is
         // not a livelock — only count heartbeats where released

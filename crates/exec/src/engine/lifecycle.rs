@@ -1,12 +1,13 @@
 //! Attempt lifecycle: launch, completion, failure, race resolution and
 //! command application.
 //!
-//! Everything here mutates [`super::state::ClusterState`] and hands the
-//! task-level transitions (submission, a won or failed attempt) to the
-//! shared [`crate::control::ControlPlane`]; no policy decisions are made —
-//! the [`crate::scheduler::Scheduler`] issued the commands, this module
-//! makes them physical (or drops them, like a lost RPC, when reality
-//! disagrees).
+//! The shared [`crate::control::ControlPlane`] admits and registers each
+//! launch, ends attempts and makes the task-level transitions
+//! (submission, a won or failed attempt); this module gives each attempt
+//! its physics in [`super::state::ClusterState`]. No policy decisions are
+//! made — the [`crate::scheduler::Scheduler`] issued the commands, this
+//! module makes them physical (or drops them, like a lost RPC, when
+//! reality disagrees).
 
 use std::collections::VecDeque;
 
@@ -29,7 +30,7 @@ use rupam_simcore::source::EventSource;
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
 use super::state::{AttemptId, AttemptRt};
-use crate::control::{ControlHost, TaskState};
+use crate::control::{Attempt, ControlHost, TaskState};
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// A stream job arrives: the control plane submits it.
@@ -40,38 +41,46 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     }
 
     pub(crate) fn phase_complete(&mut self, id: AttemptId) {
+        debug_assert!(self.ctl.attempt(id).alive);
         let a = &mut self.state.attempts[id];
-        debug_assert!(a.alive);
         a.phases.pop_front();
         if a.phases.is_empty() {
             self.finish_attempt(id);
         }
     }
 
+    /// Attempt `id` ends as `outcome`: its phases go, and the control
+    /// plane takes it off its node and returns its record.
+    fn end_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) -> TaskRecord {
+        let a = &mut self.state.attempts[id];
+        a.phases = VecDeque::new();
+        (self.ctl).end_attempt(id, outcome, self.now, a.breakdown)
+    }
+
     /// An attempt ran to its end. If its task is already done it lost
     /// the race; otherwise it wins, and its live siblings lose.
     pub(crate) fn finish_attempt(&mut self, id: AttemptId) {
-        let (task, node_id) = (self.state.attempts[id].task, self.state.attempts[id].node);
-        self.state.detach_attempt(id);
-        let won = !matches!(self.ctl.task(task), TaskState::Done);
+        let won = !matches!(self.ctl.task(self.ctl.attempt(id).task), TaskState::Done);
         let outcome = if won {
             AttemptOutcome::Success
         } else {
             AttemptOutcome::LostRace
         };
-        let record = self.make_record(id, outcome);
+        let record = self.end_attempt(id, outcome);
+        let task = record.task;
         if won {
             (self.state.finished_secs[task.stage.index()]).push(record.duration().as_secs_f64());
             // cache the produced partition
-            self.cache_produced_partition(task, node_id);
-            if self.state.attempts[id].speculative {
+            self.cache_produced_partition(task, record.node);
+            if record.speculative {
                 self.speculative_wins += 1;
             }
             if let TaskState::Running { attempts } = self.ctl.task(task) {
-                let losers: Vec<AttemptId> =
-                    attempts.iter().copied().filter(|&o| o != id).collect();
-                for loser in losers {
-                    self.abort_attempt(loser, AttemptOutcome::LostRace);
+                for loser in attempts.clone() {
+                    if loser != id {
+                        let record = self.end_attempt(loser, AttemptOutcome::LostRace);
+                        self.records.push(record);
+                    }
                 }
             }
             self.state.spec_set.remove(&task);
@@ -82,39 +91,10 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         self.need_offers = true;
     }
 
-    pub(crate) fn make_record(&self, id: AttemptId, outcome: AttemptOutcome) -> TaskRecord {
-        let a = &self.state.attempts[id];
-        TaskRecord {
-            task: a.task,
-            job: self.ctl.job_of(a.task.stage),
-            template_key: a.template_key,
-            attempt: a.attempt_no,
-            node: a.node,
-            speculative: a.speculative,
-            locality: a.locality,
-            launched_at: a.launched_at,
-            finished_at: self.now,
-            outcome,
-            breakdown: a.breakdown,
-            peak_mem: a.peak_mem,
-            used_gpu: a.used_gpu,
-        }
-    }
-
-    /// Abort a running attempt whose sibling won the race.
-    pub(crate) fn abort_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
-        debug_assert!(matches!(outcome, AttemptOutcome::LostRace));
-        self.state.detach_attempt(id);
-        let record = self.make_record(id, outcome);
-        self.records.push(record);
-        self.need_offers = true;
-    }
-
     /// Fail a running attempt; its task goes back to pending (or the app
     /// aborts once retries are exhausted).
     pub(crate) fn fail_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
-        self.state.detach_attempt(id);
-        let record = self.make_record(id, outcome);
+        let record = self.end_attempt(id, outcome);
         let (ctl, mut io) = self.io();
         self.aborted |= ctl.attempt_failed(id, &record, &mut io);
         self.records.push(record);
@@ -133,19 +113,9 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 self.try_launch(task, node, use_gpu, speculative, reason);
             }
             Command::KillAndRequeue { task, node, reason } => {
-                let outcome = reason.outcome();
-                if let TaskState::Running { attempts } = self.ctl.task(task) {
-                    let on_node: Vec<AttemptId> = attempts
-                        .iter()
-                        .copied()
-                        .filter(|&id| self.state.attempts[id].node == node)
-                        .collect();
-                    if !on_node.is_empty() {
-                        self.publish(EngineEvent::KillRequeue { task, node });
-                    }
-                    for id in on_node {
-                        self.fail_attempt(id, outcome);
-                    }
+                let (ctl, mut io) = self.io();
+                for id in ctl.kill_requeue(task, node, &mut io) {
+                    self.fail_attempt(id, reason.outcome());
                 }
             }
         }
@@ -159,37 +129,13 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         speculative: bool,
         reason: LaunchReason,
     ) {
-        if node_id.index() >= self.state.nodes.len() {
+        // a crashed node, or one still restarting its executor or
+        // waiting out its provisioning latency, takes no work
+        let (nodes, now) = (&self.state.nodes, self.now);
+        let accepts =
+            |n: NodeId| !nodes[n.index()].crashed && nodes[n.index()].blocked_until <= now;
+        let Ok(attempt_no) = self.ctl.admit(task, node_id, speculative, accepts) else {
             return;
-        }
-        if self.state.nodes[node_id.index()].blocked_until > self.now {
-            return;
-        }
-        // launches aimed at a crashed node — or one the driver has
-        // declared dead — are dropped on the floor like a lost RPC;
-        // same for nodes outside the elastic fleet or draining towards
-        // a preemption deadline
-        let fleet = self.ctl.fleet();
-        if self.state.nodes[node_id.index()].crashed
-            || !fleet.provisioned(node_id)
-            || fleet.draining(node_id)
-            || fleet.is_dead(node_id)
-        {
-            return;
-        }
-        if !self.ctl.released(task.stage) {
-            return;
-        }
-        let attempt_no = match self.ctl.task(task) {
-            TaskState::Pending { attempt_no, .. } if !speculative => *attempt_no,
-            TaskState::Running { attempts } if speculative => {
-                // one extra copy max, never a copy of a copy
-                if attempts.len() != 1 || self.state.attempts[attempts[0]].speculative {
-                    return;
-                }
-                self.state.attempts[attempts[0]].attempt_no + 1
-            }
-            _ => return,
         };
 
         let stage = self.input.app.stage(task.stage);
@@ -261,15 +207,13 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         // GPU-capable task libraries (the paper's NVBLAS example) grab a
         // GPU opportunistically wherever they run — scheduling `use_gpu`
         // only forces sharing when the GPUs are already busy.
-        let gpus_busy = node
-            .running
-            .iter()
-            .filter(|&&aid| self.state.attempts[aid].used_gpu)
+        let gpus_busy = (self.ctl.running(node_id).iter())
+            .filter(|&&aid| self.ctl.attempt(aid).used_gpu)
             .count() as u32;
         let use_gpu =
             spec.gpus > 0 && demand.is_gpu_capable() && (use_gpu || gpus_busy < spec.gpus);
-        node.mem_in_use += demand.peak_mem;
-        let pressure = node.mem_in_use.as_f64() / node.executor_mem.as_f64().max(1.0);
+        let heap = self.ctl.executor_mem(node_id);
+        let mem_in_use = self.ctl.mem_in_use(node_id) + demand.peak_mem;
         let ctx = LaunchContext {
             local_input,
             remote_input,
@@ -277,46 +221,34 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             shuffle_local,
             shuffle_remote,
             use_gpu,
-            pressure,
-            heap: node.executor_mem,
+            pressure: mem_in_use.as_f64() / heap.as_f64().max(1.0),
+            heap,
             decision_cost: self.sched.decision_cost(),
         };
         let phases: VecDeque<Phase> = build_phases(demand, &ctx, &self.input.config.cost).into();
 
-        let id = self.state.attempts.len();
-        self.state.attempts.push(AttemptRt {
+        let attempt = Attempt {
             task,
-            template_key: stage.template_key,
             attempt_no,
-            speculative,
             node: node_id,
+            speculative,
             locality,
-            phases,
             launched_at: self.now,
-            breakdown: TaskBreakdown::new(),
             peak_mem: demand.peak_mem,
             used_gpu: use_gpu,
             alive: true,
+        };
+        let (ctl, mut io) = self.io();
+        ctl.register(attempt, reason, &mut io);
+        self.state.attempts.push(AttemptRt {
+            phases,
+            breakdown: TaskBreakdown::new(),
             rate: 0.0,
         });
-        self.state.nodes[node_id.index()].running.push(id);
-        self.ctl.launched(task, id);
         if speculative {
             self.speculative_launched += 1;
             self.state.spec_set.remove(&task);
         }
-        let launch_job = self.ctl.job_of(task.stage);
-        self.publish(EngineEvent::Launch {
-            task,
-            job: launch_job,
-            tenant: self.ctl.jobs()[launch_job.index()].tenant,
-            node: node_id,
-            attempt: attempt_no,
-            speculative,
-            use_gpu,
-            locality,
-            reason,
-        });
         self.schedule_oom_check_if_needed(node_id);
     }
 
@@ -324,12 +256,9 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// attempts, wipe it, and block it for the JVM restart time.
     pub(crate) fn executor_lost(&mut self, node_id: NodeId) {
         self.executor_losses += 1;
-        let victims: Vec<AttemptId> = self.state.nodes[node_id.index()].running.clone();
+        let victims: Vec<AttemptId> = self.ctl.running(node_id).to_vec();
         if self.bus.traced() {
-            let pressure_pct = {
-                let n = &self.state.nodes[node_id.index()];
-                (n.mem_in_use.as_f64() / n.executor_mem.as_f64().max(1.0) * 100.0) as u32
-            };
+            let pressure_pct = self.ctl.pressure_pct(node_id);
             self.publish(EngineEvent::ExecutorLost {
                 node: node_id,
                 victims: victims.len(),
@@ -342,14 +271,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         let cfg = self.input.config;
         let node = &mut self.state.nodes[node_id.index()];
         let wiped = node.cache.clear();
-        node.mem_in_use = ByteSize::ZERO;
         node.blocked_until = self.now + cfg.mem.jvm_restart;
         node.oom_epoch += 1;
         node.oom_scheduled = false;
-        self.source.schedule(
-            node.blocked_until,
-            Event::ExecutorRestored { node: node_id },
-        );
+        self.source
+            .schedule(node.blocked_until, Event::ExecutorRestored);
         self.cache_changed(&wiped);
     }
 }

@@ -13,13 +13,14 @@
 //! bookkeeping in the [`ControlPlane`] it shares with the serve driver:
 //! tasks, stages and jobs (submission, stage release, a won or failed
 //! attempt, the lineage re-pend after node loss, the pending views and
-//! the offer state) and the fleet (the failure detector, node loss, the
-//! capacity controller, drain notices and reclaims). Structurally the
-//! engine is split around two seams:
+//! the offer state), the attempts (launch admission, each node's running
+//! list and memory, the records) and the fleet (the failure detector,
+//! node loss, the capacity controller, drain notices and reclaims).
+//! Structurally the engine is split around two seams:
 //!
-//! * **`state`** — one authoritative `ClusterState` (nodes, executors,
-//!   in-flight attempts) owned by the core loop (`driver`) beside the
-//!   control plane, and mutated only by the subsystem modules:
+//! * **`state`** — one `ClusterState` (how each attempt runs, the nodes'
+//!   caches and physical faults) owned by the core loop (`driver`)
+//!   beside the control plane, and mutated only by the subsystem modules:
 //!   `lifecycle` (launch/finish/fail/race), `heartbeat` (detector
 //!   beacons + livelock guard), `recovery` (chaos faults, drain
 //!   reclaims, OOM), `speculation` (straggler flagging), `caching`
@@ -61,7 +62,6 @@ use rupam_metrics::trace::{AbortCause, TraceBuffer, DEFAULT_TRACE_CAPACITY};
 use rupam_simcore::calendar::Calendar;
 use rupam_simcore::rng::RngFactory;
 use rupam_simcore::time::SimTime;
-use rupam_simcore::units::ByteSize;
 
 use crate::audit::{AuditConfig, Violation};
 use crate::cache::ExecutorCache;
@@ -250,8 +250,9 @@ pub fn simulate_stream_observed_with(
     run_sim(&sim_input, Some(input.stream), scheduler, opts, subscribers)
 }
 
-/// Build a ready-to-run [`Engine`] from the inputs: runtime state, the
-/// control plane with its fleet, and the RNG streams. Split from
+/// Build a ready-to-run [`Engine`] from the inputs: the control plane
+/// with its fleet and executor heaps, runtime state, and the RNG
+/// streams. Split from
 /// [`run_sim`] so engine unit tests can drive the loop directly.
 pub(crate) fn assemble<'a, 's>(
     input: &'a SimInput<'a>,
@@ -261,18 +262,28 @@ pub(crate) fn assemble<'a, 's>(
 ) -> Engine<'a, 's> {
     let cluster = input.cluster;
     let cfg = input.config;
-    scheduler.on_app_start(input.app, cluster);
-
+    // the detector is armed only by a chaos script, and the capacity
+    // controller's draws come from their own `engine/elastic` stream,
+    // so an empty script leaves every other stream byte-identical
+    let ctl = ControlPlane::new(
+        cluster,
+        cfg,
+        input.app,
+        input.layout,
+        stream,
+        Fleet::new(
+            cluster,
+            cfg,
+            !cfg.faults.script.is_empty(),
+            RngFactory::new(input.seed).stream("engine/elastic"),
+        ),
+        scheduler,
+    );
     let nodes: Vec<NodeRt> = cluster
         .iter()
         .map(|(id, spec)| {
-            let requested = scheduler.executor_memory(cluster, id);
-            let ceiling = spec.mem.saturating_sub(cfg.mem.os_reserved);
-            let executor_mem = requested.min(ceiling);
+            let executor_mem = ctl.executor_mem(id);
             NodeRt {
-                executor_mem,
-                mem_in_use: ByteSize::ZERO,
-                running: Vec::new(),
                 cache: ExecutorCache::new(executor_mem.scale(cfg.mem.storage_fraction)),
                 blocked_until: SimTime::ZERO,
                 oom_epoch: 0,
@@ -304,22 +315,7 @@ pub(crate) fn assemble<'a, 's>(
             finished_secs: vec![Vec::new(); input.app.stages.len()],
             spec_set: SpeculationSet::new(),
         },
-        // the detector is armed only by a chaos script, and the capacity
-        // controller's draws come from their own `engine/elastic` stream,
-        // so an empty script leaves every other stream byte-identical
-        ctl: ControlPlane::new(
-            cluster,
-            cfg,
-            input.app,
-            input.layout,
-            stream,
-            Fleet::new(
-                cluster,
-                cfg,
-                !cfg.faults.script.is_empty(),
-                RngFactory::new(input.seed).stream("engine/elastic"),
-            ),
-        ),
+        ctl,
         monitor: ResourceMonitor::new(cluster),
         records: Vec::new(),
         rng_fail: RngFactory::new(input.seed).stream("engine/failures"),
@@ -364,11 +360,9 @@ fn run_sim(
 
     let mut sim = assemble(input, stream, scheduler, bus);
     for i in 0..sim.state.nodes.len() {
-        let mem = sim.state.nodes[i].executor_mem;
-        sim.publish(EngineEvent::ExecutorSized {
-            node: NodeId(i),
-            mem,
-        });
+        let node = NodeId(i);
+        let mem = sim.ctl.executor_mem(node);
+        sim.publish(EngineEvent::ExecutorSized { node, mem });
     }
     if let Err(err) = sim.run() {
         sim.aborted = true;

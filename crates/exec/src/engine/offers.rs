@@ -4,8 +4,9 @@
 //! its persistent offer state, marked dirty by the control plane's own
 //! transitions (the fleet rules included) and by the engine's lifecycle
 //! and caching handlers. The engine lends it the execution side of each
-//! node view, executor-cache placements and the fleet rules' hooks
-//! ([`ControlHost`]): failing a lost node's attempts, wiping its
+//! node view (utilisation from phase occupancy, the restart and
+//! provisioning gates), executor-cache placements and the fleet rules'
+//! hooks ([`ControlHost`]): stopping a lost node's attempts, wiping its
 //! executor, `crashed` as down, the provisioning-latency gate, and
 //! [`Event::PreemptFire`] as the drain timer. Each round the control plane re-derives
 //! what was touched into an [`OfferInput`](crate::scheduler::OfferInput),
@@ -16,18 +17,16 @@
 //! the scheduler saw.
 
 use rupam_cluster::monitor::NodeMetrics;
-use rupam_cluster::{NodeId, NodeTier};
+use rupam_cluster::NodeId;
 use rupam_dag::app::StageId;
 use rupam_dag::task::CacheKey;
-use rupam_dag::TaskRef;
 use rupam_metrics::record::AttemptOutcome;
 use rupam_simcore::time::{SimDuration, SimTime};
-use rupam_simcore::units::ByteSize;
 
 use crate::control::{AttemptId, ControlHost, ControlPlane, Io, TaskState};
 use crate::costmodel::PhaseResource;
 use crate::offer_state::ShufflePrefs;
-use crate::scheduler::{NodeView, RunningTaskView};
+use crate::scheduler::NodeView;
 
 use rupam_simcore::source::EventSource;
 
@@ -56,41 +55,17 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
         self.now
     }
 
-    /// Blocked while the executor restarts or a provisioned node waits
-    /// out its provisioning latency.
-    fn node_view(&self, node: NodeId) -> NodeView {
-        let rt = &self.state.nodes[node.index()];
-        let m = self.node_metrics(node.index());
-        let running = (rt.running.iter())
-            .map(|&aid| {
-                let a = &self.state.attempts[aid];
-                RunningTaskView {
-                    task: a.task,
-                    speculative: a.speculative,
-                    elapsed: self.now.since(a.launched_at),
-                    peak_mem: a.peak_mem,
-                    on_gpu: a.used_gpu,
-                }
-            })
-            .collect();
-        NodeView {
-            node,
-            executor_mem: rt.executor_mem,
-            mem_in_use: rt.mem_in_use,
-            free_mem: rt.executor_mem.saturating_sub(rt.mem_in_use),
-            running,
-            cpu_util: m.cpu_util,
-            net_util: m.net_util,
-            disk_util: m.disk_util,
-            gpus_idle: m.gpus_idle,
-            blocked: rt.blocked_until > self.now,
-            heartbeat_age: SimDuration::ZERO,
-            dead: false,
-            suspect: false,
-            tier: NodeTier::OnDemand,
-            draining: false,
-            preempt_risk: 0.0,
-        }
+    /// Utilisation and idle GPUs from phase occupancy; blocked while the
+    /// executor restarts or a provisioned node waits out its
+    /// provisioning latency.
+    fn host_view(&self, view: &mut NodeView) {
+        let i = view.node.index();
+        let m = self.node_metrics(i);
+        view.cpu_util = m.cpu_util;
+        view.net_util = m.net_util;
+        view.disk_util = m.disk_util;
+        view.gpus_idle = m.gpus_idle;
+        view.blocked = self.state.nodes[i].blocked_until > self.now;
     }
 
     fn process_nodes(&self, stage: StageId, key: &CacheKey) -> Vec<NodeId> {
@@ -101,23 +76,16 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
             .collect()
     }
 
-    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)> {
-        (self.state.nodes[node.index()].running.iter())
-            .map(|&id| (id, self.state.attempts[id].task))
-            .collect()
+    fn stop_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
+        self.fail_attempt(id, outcome);
     }
 
-    fn kill_attempt(&mut self, _node: NodeId, id: AttemptId) {
-        self.fail_attempt(id, AttemptOutcome::NodeFaulted);
-    }
-
-    /// The executor's cache, heap and pending OOM checks go, and a
-    /// scripted slowdown ends. Cached partitions need no lineage action:
-    /// every cached read carries an HDFS fallback.
+    /// The executor's cache and pending OOM checks go, and a scripted
+    /// slowdown ends. Cached partitions need no lineage action: every
+    /// cached read carries an HDFS fallback.
     fn wipe(&mut self, node: NodeId) {
         let rt = &mut self.state.nodes[node.index()];
         let wiped = rt.cache.clear();
-        rt.mem_in_use = ByteSize::ZERO;
         rt.oom_epoch += 1;
         rt.oom_scheduled = false;
         rt.slow_factor = 1.0;
@@ -149,13 +117,13 @@ impl<'a, 's, S: EventSource<Event>> ControlHost<'a> for Engine<'a, 's, S> {
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Node-level utilisation snapshot from current phase occupancy.
     pub(crate) fn node_metrics(&self, node_idx: usize) -> NodeMetrics {
-        let node = &self.state.nodes[node_idx];
-        let spec = self.input.cluster.node(NodeId(node_idx));
+        let node = NodeId(node_idx);
+        let spec = self.input.cluster.node(node);
         let mut n_cpu = 0u32;
         let mut n_gpu = 0u32;
         let mut net_bps = 0.0f64;
         let mut disk_bps = 0.0f64;
-        for &aid in &node.running {
+        for &aid in self.ctl.running(node) {
             let a = &self.state.attempts[aid];
             match a.current_phase().map(|p| p.resource) {
                 Some(PhaseResource::Cpu) => n_cpu += 1,
@@ -167,10 +135,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                 _ => {}
             }
         }
+        let (mem_used, heap) = (self.ctl.mem_in_use(node), self.ctl.executor_mem(node));
         NodeMetrics {
             cpu_util: (n_cpu as f64 / spec.cores as f64).min(1.0),
-            mem_used: node.mem_in_use,
-            free_mem: node.executor_mem.saturating_sub(node.mem_in_use),
+            mem_used,
+            free_mem: heap.saturating_sub(mem_used),
             net_util: (net_bps / spec.net_bw).min(1.0),
             disk_util: (disk_bps / spec.disk.read_bw.max(spec.disk.write_bw)).min(1.0),
             net_bytes_per_sec: net_bps,

@@ -20,6 +20,7 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
+use super::state::AttemptId;
 use crate::control::ControlPlane;
 
 impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
@@ -119,21 +120,12 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
         let prob = self.state.nodes[node_id.index()].flaky_prob;
         if self.rng_faults.gen_range(0.0..1.0) < prob {
-            let victim = self.state.nodes[node_id.index()]
-                .running
-                .iter()
-                .copied()
-                .max_by_key(|&id| (self.state.attempts[id].peak_mem, id));
-            if let Some(v) = victim {
-                let pressure_pct = {
-                    let n = &self.state.nodes[node_id.index()];
-                    (n.mem_in_use.as_f64() / n.executor_mem.as_f64().max(1.0) * 100.0) as u32
-                };
+            if let Some(v) = self.hungriest(node_id) {
                 self.oom_failures += 1;
                 self.publish(EngineEvent::OomTaskKill {
-                    task: self.state.attempts[v].task,
+                    task: self.ctl.attempt(v).task,
                     node: node_id,
-                    pressure_pct,
+                    pressure_pct: self.ctl.pressure_pct(node_id),
                 });
                 self.fail_attempt(v, AttemptOutcome::OomFailure);
             }
@@ -149,20 +141,16 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
 
     pub(crate) fn oom_check(&mut self, node_id: NodeId, epoch: u64) {
         let cfg = &self.input.config.mem;
-        {
-            let node = &mut self.state.nodes[node_id.index()];
-            if node.oom_epoch != epoch {
-                return; // stale (executor restarted meanwhile)
-            }
-            node.oom_scheduled = false;
-            if node.mem_in_use <= node.executor_mem {
-                return; // pressure resolved itself
-            }
+        let node = &mut self.state.nodes[node_id.index()];
+        if node.oom_epoch != epoch {
+            return; // stale (executor restarted meanwhile)
         }
-        let (mem_in_use, executor_mem) = {
-            let n = &self.state.nodes[node_id.index()];
-            (n.mem_in_use, n.executor_mem)
-        };
+        node.oom_scheduled = false;
+        let (mem_in_use, executor_mem) =
+            (self.ctl.mem_in_use(node_id), self.ctl.executor_mem(node_id));
+        if mem_in_use <= executor_mem {
+            return; // pressure resolved itself
+        }
         let ratio = mem_in_use.as_f64() / executor_mem.as_f64().max(1.0);
         if ratio >= cfg.executor_kill_ratio {
             // the OS kills the whole JVM (paper §III-C3's catastrophic case)
@@ -171,18 +159,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
         let p = (cfg.oom_prob_slope * (ratio - 1.0)).clamp(0.05, 0.95);
         if self.rng_fail.gen_range(0.0..1.0) < p {
-            // task-level OOM: the hungriest attempt dies; ties go to the
-            // newest attempt (the allocation that tipped the heap over),
-            // which is also what lets long-running attempts make progress
-            let victim = self.state.nodes[node_id.index()]
-                .running
-                .iter()
-                .copied()
-                .max_by_key(|&id| (self.state.attempts[id].peak_mem, id));
-            if let Some(v) = victim {
+            // task-level OOM: the hungriest attempt dies
+            if let Some(v) = self.hungriest(node_id) {
                 self.oom_failures += 1;
                 self.publish(EngineEvent::OomTaskKill {
-                    task: self.state.attempts[v].task,
+                    task: self.ctl.attempt(v).task,
                     node: node_id,
                     pressure_pct: (ratio * 100.0) as u32,
                 });
@@ -193,12 +174,20 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         self.schedule_oom_check_if_needed(node_id);
     }
 
+    /// The attempt an OOM kills on `node`: the one holding the most
+    /// memory, ties going to the newest (the allocation that tipped the
+    /// heap over), which is also what lets long-running attempts make
+    /// progress.
+    fn hungriest(&self, node: NodeId) -> Option<AttemptId> {
+        (self.ctl.running(node).iter().copied())
+            .max_by_key(|&id| (self.ctl.attempt(id).peak_mem, id))
+    }
+
     pub(crate) fn schedule_oom_check_if_needed(&mut self, node_id: NodeId) {
         let cfg = &self.input.config.mem;
-        let (over, scheduled, epoch) = {
-            let n = &self.state.nodes[node_id.index()];
-            (n.mem_in_use > n.executor_mem, n.oom_scheduled, n.oom_epoch)
-        };
+        let over = self.ctl.mem_in_use(node_id) > self.ctl.executor_mem(node_id);
+        let n = &self.state.nodes[node_id.index()];
+        let (scheduled, epoch) = (n.oom_scheduled, n.oom_epoch);
         if over && !scheduled {
             let lo = cfg.oom_check_min.as_secs_f64();
             let hi = cfg.oom_check_max.as_secs_f64();

@@ -37,7 +37,7 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
                                 stage: stage.id,
                                 index: tidx,
                             },
-                            self.state.attempts[first].launched_at,
+                            self.ctl.attempt(first).launched_at,
                             attempts.len() > 1,
                         ));
                     }

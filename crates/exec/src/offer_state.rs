@@ -262,8 +262,9 @@ impl OfferState {
     }
 
     /// Take back the lists lent by [`OfferState::round`], and read the
-    /// scheduler's answer: every launch marks its node and task, and a
-    /// launched task still pending at the next round is fresh.
+    /// scheduler's answer: every launch marks its node (when the node
+    /// exists) and task, and a launched task still pending at the next
+    /// round is fresh.
     pub fn settle(
         &mut self,
         nodes: Vec<NodeView>,
@@ -275,7 +276,9 @@ impl OfferState {
         self.launched.clear();
         for c in commands {
             if let Command::Launch { task, node, .. } = c {
-                self.dirty[node.index()] = true;
+                if let Some(dirty) = self.dirty.get_mut(node.index()) {
+                    *dirty = true;
+                }
                 self.touched.push(*task);
                 self.launched.push(*task);
             }

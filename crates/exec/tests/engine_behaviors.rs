@@ -547,3 +547,50 @@ fn scales_to_thousands_of_tasks() {
         started.elapsed()
     );
 }
+
+/// Commands naming a node the cluster does not have are dropped like a
+/// lost RPC: every round first kills and launches each pending task on
+/// `NodeId(cluster.len())`, then launches it on node 0, and the run
+/// completes.
+#[test]
+fn commands_to_an_unknown_node_are_dropped() {
+    struct Misaimed;
+    impl Scheduler for Misaimed {
+        fn name(&self) -> &str {
+            "misaimed"
+        }
+        fn executor_memory(&self, c: &ClusterSpec, n: NodeId) -> ByteSize {
+            c.node(n).mem
+        }
+        fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+            let nowhere = NodeId(input.cluster.len());
+            let launch = |task, node| Command::Launch {
+                task,
+                node,
+                use_gpu: false,
+                speculative: false,
+                reason: LaunchReason::FifoSlot,
+            };
+            (input.pending.iter())
+                .flat_map(|p| {
+                    let reason = rupam_exec::KillReason::MemoryStraggler;
+                    [
+                        Command::KillAndRequeue {
+                            task: p.task,
+                            node: nowhere,
+                            reason,
+                        },
+                        launch(p.task, nowhere),
+                        launch(p.task, NodeId(0)),
+                    ]
+                })
+                .collect()
+        }
+    }
+    let cluster = single_node_cluster(4, 2.0, 0);
+    let app = compute_app(3, 2.0, 0.0);
+    let report = run(&cluster, &app, &mut Misaimed, 1);
+    assert!(report.completed);
+    assert_eq!(report.records.len(), 3);
+    assert!(report.records.iter().all(|r| r.node == NodeId(0)));
+}

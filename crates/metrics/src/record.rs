@@ -118,13 +118,6 @@ impl TaskRecord {
         self.breakdown
             .get(crate::breakdown::BreakdownCategory::ShuffleWrite)
     }
-
-    /// HDFS input read time (local disk + remote fetch) — reported apart
-    /// from shuffle, as Spark's task metrics do.
-    pub fn input_read_time(&self) -> SimDuration {
-        use crate::breakdown::BreakdownCategory as C;
-        self.breakdown.get(C::HdfsDisk) + self.breakdown.get(C::HdfsNet)
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //! submission and stage release, a won attempt, a failed one (the retry
 //! limit and the task's peak-memory hint included), the lineage re-pend
 //! after node loss through the map-output ledger, the pending views and
-//! the offer state every round's input comes from. The fleet is the
+//! the offer state every round's input comes from, and the attempt table:
+//! launch admission (the drop counters' reasons), each node's running
+//! attempts, memory and heap, the attempts a kill stops, the records. The
+//! fleet is the
 //! control plane's too: worker beacons feed its failure detector, ticks
 //! run its detector round and capacity-controller check, and node loss,
 //! drain notices and their reclaim, and the fleet fields of each node
@@ -25,13 +28,13 @@
 //!
 //! What stays with the driver:
 //!
-//! * attempt storage and execution: per-node running attempts, numbered
-//!   by a run-wide launch counter, and the worker outbox with the
-//!   estimated durations workers hold their slots for;
+//! * how an attempt runs: the worker outbox with the estimated durations
+//!   workers hold their slots for and the kill each attempt was sent; the
+//!   launch rules (no copies, the pending view's locality, a GPU only
+//!   when asked for);
 //! * the host's part of each node view ([`ControlHost`]): registration,
-//!   memory, slots and the NIC/disk utilisation workers report; serve
-//!   workers hold no executor cache, so no pending view has
-//!   `process_nodes`;
+//!   slots and the NIC/disk utilisation workers report; serve workers
+//!   hold no executor cache, so no pending view has `process_nodes`;
 //! * the fleet rules' hooks: a lost node's attempts fail and its
 //!   utilisation resets, detector-dead is down, registration is the join
 //!   path (no provisioning latency), ticks scan for due drains, and
@@ -45,13 +48,15 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rupam_cluster::{ClusterSpec, NodeId, NodeTier};
+use rupam_cluster::{ClusterSpec, NodeId};
 use rupam_dag::{MergedStream, TaskRef};
 use rupam_exec::config::SimConfig;
-use rupam_exec::control::{AttemptId, ControlHost, ControlPlane, Fleet, Io, TaskState};
+use rupam_exec::control::{
+    Attempt, AttemptId, ControlHost, ControlPlane, Fleet, Io, LaunchDrop, TaskState,
+};
 use rupam_exec::engine::{EngineEvent, EventCtx};
 use rupam_exec::offer_state::ShufflePrefs;
-use rupam_exec::scheduler::{Command, KillReason, NodeView, RunningTaskView, Scheduler};
+use rupam_exec::scheduler::{Command, KillReason, NodeView, Scheduler};
 use rupam_exec::EngineError;
 use rupam_metrics::breakdown::BreakdownCategory;
 use rupam_metrics::record::{AttemptOutcome, TaskRecord};
@@ -59,7 +64,6 @@ use rupam_metrics::trace::{AbortCause, TraceBuffer};
 use rupam_simcore::source::EventSource;
 use rupam_simcore::stats::quantile;
 use rupam_simcore::time::{SimDuration, SimTime};
-use rupam_simcore::units::ByteSize;
 
 use crate::estimate::estimate;
 use crate::proto::{ClientRequest, ServeEvent, TaskFailure, WorkerCommand, WorkerReport};
@@ -140,20 +144,9 @@ impl Outbox {
     }
 }
 
-struct RunningSt {
-    /// The run-wide attempt number: the launch count when it launched.
-    id: AttemptId,
-    /// The attempt's record, but for when and how it ends.
-    rec: TaskRecord,
-    /// Why the driver asked the worker to kill this attempt, if it did.
-    kill: Option<KillReason>,
-}
-
+#[derive(Clone, Default)]
 struct NodeSt {
     registered: bool,
-    executor_mem: ByteSize,
-    mem_in_use: ByteSize,
-    running: Vec<RunningSt>,
     /// NIC occupancy from the worker's last heartbeat payload.
     net_util: f64,
     /// Disk occupancy from the worker's last heartbeat payload.
@@ -213,6 +206,9 @@ pub struct ServeReport {
     /// Launch commands dropped because the target node was draining
     /// under an outstanding preemption notice.
     pub preempt_launch_drops: u64,
+    /// Speculative launch commands dropped: serve runs no copies, so
+    /// RUPAM's GPU-race and relocation copies end here.
+    pub copy_launch_drops: u64,
     /// Spot nodes reclaimed after their drain notice expired.
     pub preemptions: u64,
     /// Autoscaler scale-up transitions applied.
@@ -249,7 +245,8 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     abort: Option<AbortCause>,
     dispatch_us: Vec<u64>,
     max_pending: usize,
-    launched: u64,
+    /// Per attempt: why the driver asked its worker to kill it, if it did.
+    kills: Vec<Option<KillReason>>,
     completed: u64,
     failed: u64,
     // ---- event-driven offer scheduling ----
@@ -260,10 +257,8 @@ pub(crate) struct ServeDriver<'a, S: EventSource<ServeEvent>> {
     next_check: SimTime,
     // ---- instrumentation ----
     offer_us: Vec<u64>,
-    stale_drops: u64,
-    dead_drops: u64,
-    autoscale_drops: u64,
-    preempt_drops: u64,
+    /// Dropped launch commands, per [`LaunchDrop`] reason.
+    launch_drops: [u64; 5],
 }
 
 impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
@@ -275,22 +270,23 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         source: S,
         outbox: Outbox,
     ) -> Self {
-        sched.on_app_start(&catalog.app, cluster);
-        let nodes = cluster
-            .iter()
-            .map(|(id, spec)| {
-                let requested = sched.executor_memory(cluster, id);
-                let ceiling = spec.mem.saturating_sub(cfg.sim.mem.os_reserved);
-                NodeSt {
-                    registered: false,
-                    executor_mem: requested.min(ceiling),
-                    mem_in_use: ByteSize::ZERO,
-                    running: Vec::new(),
-                    net_util: 0.0,
-                    disk_util: 0.0,
-                }
-            })
-            .collect();
+        // the detector is always armed; the capacity controller draws
+        // from a dedicated seeded RNG only while handling popped events,
+        // so a replay of the input log reproduces its churn
+        let ctl = ControlPlane::new(
+            cluster,
+            &cfg.sim,
+            &catalog.app,
+            &catalog.layout,
+            Some(catalog),
+            Fleet::new(
+                cluster,
+                &cfg.sim,
+                true,
+                StdRng::seed_from_u64(cfg.elastic_seed),
+            ),
+            &mut *sched,
+        );
         ServeDriver {
             cluster,
             catalog,
@@ -299,40 +295,22 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             source,
             outbox,
             now: SimTime::ZERO,
-            nodes,
-            // the detector is always armed; the capacity controller draws
-            // from a dedicated seeded RNG only while handling popped
-            // events, so a replay of the input log reproduces its churn
-            ctl: ControlPlane::new(
-                cluster,
-                &cfg.sim,
-                &catalog.app,
-                &catalog.layout,
-                Some(catalog),
-                Fleet::new(
-                    cluster,
-                    &cfg.sim,
-                    true,
-                    StdRng::seed_from_u64(cfg.elastic_seed),
-                ),
-            ),
+            nodes: vec![NodeSt::default(); cluster.len()],
+            ctl,
             trace: TraceBuffer::new(rupam_metrics::trace::DEFAULT_TRACE_CAPACITY),
             round: 0,
             draining: false,
             abort: None,
             dispatch_us: Vec::new(),
             max_pending: 0,
-            launched: 0,
+            kills: Vec::new(),
             completed: 0,
             failed: 0,
             offer_due: None,
             last_offer_at: None,
             next_check: SimTime::ZERO + wall_secs(cfg.sim.elastic.check_secs, cfg.time_scale),
             offer_us: Vec::new(),
-            stale_drops: 0,
-            dead_drops: 0,
-            autoscale_drops: 0,
-            preempt_drops: 0,
+            launch_drops: [0; 5],
         }
     }
 
@@ -366,6 +344,10 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 return Err(EngineError::SourceDisconnected { at: self.now });
             };
             self.now = t;
+            debug_assert!(
+                self.ctl.attempts_consistent(),
+                "the running lists must hold exactly the live attempts, each once"
+            );
             match ev {
                 ServeEvent::Tick => {
                     self.sched.on_heartbeat(self.now);
@@ -430,7 +412,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 let fresh = !self.nodes[worker.index()].registered;
                 self.nodes[worker.index()].registered = true;
                 if fresh {
-                    let mem = self.nodes[worker.index()].executor_mem;
+                    let mem = self.ctl.executor_mem(worker);
                     self.publish(EngineEvent::ExecutorSized { node: worker, mem });
                 }
                 // a re-registering worker starts with an empty slot set
@@ -479,64 +461,60 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
         // a report for an attempt the server no longer tracks (node was
         // declared dead and the task re-queued, or a preempt raced a
         // completion) is stale — drop it, the authoritative copy wins
-        let node = &mut self.nodes[worker.index()];
-        let Some(pos) =
-            (node.running.iter()).position(|r| (r.rec.task, r.rec.attempt) == (task, attempt))
-        else {
+        let ctl = &self.ctl;
+        let Some(id) = (ctl.running(worker).iter().copied()).find(|&id| {
+            let a = ctl.attempt(id);
+            (a.task, a.attempt_no) == (task, attempt)
+        }) else {
             return;
         };
-        let entry = node.running.remove(pos);
-        node.mem_in_use = node.mem_in_use.saturating_sub(entry.rec.peak_mem);
         debug_assert!(matches!(
-            self.ctl.task(task),
-            TaskState::Running { attempts } if attempts == &[entry.id]
+            ctl.task(task),
+            TaskState::Running { attempts } if attempts == &[id]
         ));
         let outcome = match failure {
             None => {
                 self.completed += 1;
-                let (now, outcome) = (self.now, AttemptOutcome::Success);
-                let record = TaskRecord {
-                    finished_at: now,
-                    outcome,
-                    ..entry.rec
-                };
+                let record = self.end_attempt(id, AttemptOutcome::Success);
                 let (ctl, mut io) = self.io();
                 ctl.attempt_finished(&record, &mut io);
                 self.request_offers();
                 return;
             }
             Some(TaskFailure::Oom) => {
-                let node = &self.nodes[worker.index()];
-                let pressure_pct = (node.mem_in_use.as_f64() + entry.rec.peak_mem.as_f64())
-                    / node.executor_mem.as_f64().max(1.0)
-                    * 100.0;
+                let pressure_pct = ctl.pressure_pct(worker);
                 self.publish(EngineEvent::OomTaskKill {
                     task,
                     node: worker,
-                    pressure_pct: pressure_pct as u32,
+                    pressure_pct,
                 });
                 AttemptOutcome::OomFailure
             }
             // workers preempt only on the driver's command; a kill the
             // driver did not order is the node reclaiming its slot
-            Some(TaskFailure::Preempted) => entry
-                .kill
-                .map_or(AttemptOutcome::NodeFaulted, KillReason::outcome),
+            Some(TaskFailure::Preempted) => {
+                (self.kills[id]).map_or(AttemptOutcome::NodeFaulted, KillReason::outcome)
+            }
         };
-        self.fail_attempt(entry, outcome);
+        self.fail_attempt(id, outcome);
+    }
+
+    /// Attempt `id` ends as `outcome`; its breakdown is the estimate its
+    /// worker held the slot for.
+    fn end_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) -> TaskRecord {
+        let a = self.ctl.attempt(id);
+        let demand = &self.catalog.app.stage(a.task.stage).tasks[a.task.index].demand;
+        let (_, breakdown) = estimate(demand, self.cluster.node(a.node), a.used_gpu);
+        self.ctl.end_attempt(id, outcome, self.now, breakdown)
     }
 
     /// A running attempt failed: the control plane re-pends its task, or
     /// aborts the run once its retries are exhausted.
-    fn fail_attempt(&mut self, entry: RunningSt, outcome: AttemptOutcome) {
+    fn fail_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
         self.failed += 1;
-        let record = TaskRecord {
-            finished_at: self.now,
-            outcome,
-            ..entry.rec
-        };
+        let record = self.end_attempt(id, outcome);
         let (ctl, mut io) = self.io();
-        if ctl.attempt_failed(entry.id, &record, &mut io) {
+        if ctl.attempt_failed(id, &record, &mut io) {
             self.abort = Some(AbortCause::RetriesExhausted);
         }
         self.request_offers();
@@ -557,8 +535,8 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             }
             // free the worker's slots; its failure reports arrive as
             // stale (the reclaim fails the authoritative attempts)
-            for r in &self.nodes[i].running {
-                let task = r.rec.task;
+            for &id in self.ctl.running(node) {
+                let task = self.ctl.attempt(id).task;
                 self.outbox.send(node, WorkerCommand::Preempt { task });
             }
             ControlPlane::reclaim(self, node);
@@ -622,77 +600,44 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                 speculative,
                 reason,
             } => {
-                if speculative {
-                    return; // serve mode offers no speculatable set
-                }
-                let TaskState::Pending { attempt_no, since } = *self.ctl.task(task) else {
-                    // stale command: already launched or done
-                    self.stale_drops += 1;
-                    return;
+                // serve mode offers no speculatable set and runs no copies
+                let nodes = &self.nodes;
+                let admitted = match speculative {
+                    true => Err(LaunchDrop::Copy),
+                    false => (self.ctl).admit(task, node, false, |n| nodes[n.index()].registered),
                 };
-                // a launch to a dead node is a lost RPC; the task stays
-                // pending, and the offer state lists it fresh next round
-                let fleet = self.ctl.fleet();
-                if !self.nodes[node.index()].registered || fleet.is_dead(node) {
-                    self.dead_drops += 1;
-                    return;
-                }
-                // elastic races mirror the dead-node race: the view the
-                // scheduler placed against went stale mid-round
-                if !fleet.provisioned(node) {
-                    self.autoscale_drops += 1;
-                    return;
-                }
-                if fleet.draining(node) {
-                    self.preempt_drops += 1;
-                    return;
-                }
-                let stage = self.catalog.app.stage(task.stage);
-                let demand = &stage.tasks[task.index].demand;
+                // a launch the cluster's state went past is a lost RPC;
+                // the task stays pending, and the offer state lists it
+                // fresh next round
+                let attempt_no = match admitted {
+                    Ok(attempt_no) => attempt_no,
+                    Err(drop) => return self.launch_drops[drop as usize] += 1,
+                };
+                let TaskState::Pending { since, .. } = *self.ctl.task(task) else {
+                    unreachable!("an admitted original is pending");
+                };
+                let demand = &self.catalog.app.stage(task.stage).tasks[task.index].demand;
                 let spec = self.cluster.node(node);
                 let gpu = use_gpu && spec.gpus > 0 && demand.is_gpu_capable();
                 let (dur, breakdown) = estimate(demand, spec, gpu);
                 let locality = (self.ctl)
                     .task_view(self, task, attempt_no, &mut ShufflePrefs::default())
                     .locality(self.cluster, node);
-                let id = self.launched as AttemptId;
-                let launch_job = self.ctl.job_of(task.stage);
-                let rec = TaskRecord {
+                let attempt = Attempt {
                     task,
-                    job: launch_job,
-                    template_key: stage.template_key,
-                    attempt: attempt_no,
+                    attempt_no,
                     node,
                     speculative: false,
                     locality,
                     launched_at: self.now,
-                    finished_at: self.now,
-                    outcome: AttemptOutcome::Success,
-                    breakdown,
                     peak_mem: demand.peak_mem,
                     used_gpu: gpu,
+                    alive: true,
                 };
-                let nst = &mut self.nodes[node.index()];
-                nst.mem_in_use += demand.peak_mem;
-                nst.running.push(RunningSt {
-                    id,
-                    rec,
-                    kill: None,
-                });
-                self.ctl.launched(task, id);
+                let (ctl, mut io) = self.io();
+                ctl.register(attempt, reason, &mut io);
+                self.kills.push(None);
                 self.dispatch_us.push(self.now.since(since).0);
-                self.launched += 1;
-                self.publish(EngineEvent::Launch {
-                    task,
-                    job: launch_job,
-                    tenant: self.catalog.tenant_of(launch_job),
-                    node,
-                    attempt: attempt_no,
-                    speculative: false,
-                    use_gpu: gpu,
-                    locality,
-                    reason,
-                });
                 let hold = Duration::from_secs_f64(dur.as_secs_f64() * self.cfg.time_scale);
                 // estimated resource shares ride along so the agent's
                 // heartbeats can report real NIC/disk occupancy back
@@ -726,17 +671,15 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     },
                 );
             }
+            // the attempt stays running until the worker confirms with
+            // Failed { Preempted } — the confirmation is an external
+            // event, so replay sees the same ordering
             Command::KillAndRequeue { task, node, reason } => {
-                let running = &mut self.nodes[node.index()].running;
-                let Some(attempt) = running.iter_mut().find(|r| r.rec.task == task) else {
-                    return; // stale view: finished or moved since the offer
-                };
-                attempt.kill = Some(reason);
-                self.publish(EngineEvent::KillRequeue { task, node });
-                // the attempt stays "running" until the worker confirms
-                // with Failed { Preempted } — the confirmation is an
-                // external event, so replay sees the same ordering
-                self.outbox.send(node, WorkerCommand::Preempt { task });
+                let (ctl, mut io) = self.io();
+                for id in ctl.kill_requeue(task, node, &mut io) {
+                    self.kills[id] = Some(reason);
+                    self.outbox.send(node, WorkerCommand::Preempt { task });
+                }
             }
         }
     }
@@ -762,7 +705,7 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             events_recorded: self.trace.recorded(),
             jobs_submitted,
             jobs_completed,
-            launched: self.launched,
+            launched: self.ctl.launches() as u64,
             completed: self.completed,
             failed: self.failed,
             lost_tasks: self.ctl.lost_tasks().len(),
@@ -772,10 +715,11 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
             offer_rounds: self.round,
             offer_p50_us: pct(&offer, 0.50),
             offer_p95_us: pct(&offer, 0.95),
-            stale_launch_drops: self.stale_drops,
-            dead_launch_drops: self.dead_drops,
-            autoscale_launch_drops: self.autoscale_drops,
-            preempt_launch_drops: self.preempt_drops,
+            stale_launch_drops: self.launch_drops[LaunchDrop::Stale as usize],
+            dead_launch_drops: self.launch_drops[LaunchDrop::Dead as usize],
+            autoscale_launch_drops: self.launch_drops[LaunchDrop::Autoscale as usize],
+            preempt_launch_drops: self.launch_drops[LaunchDrop::Preempt as usize],
+            copy_launch_drops: self.launch_drops[LaunchDrop::Copy as usize],
             preemptions: cost.preemptions as u64,
             provisions: cost.provisions as u64,
             decommissions: cost.decommissions as u64,
@@ -786,8 +730,8 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
     }
 }
 
-/// The serve driver lends the control plane its node tables, the
-/// worker outbox's attempts and its wall clock.
+/// The serve driver lends the control plane its worker table, the worker
+/// outbox and its wall clock.
 impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
     fn control(&self) -> &ControlPlane<'a> {
         &self.ctl
@@ -810,63 +754,26 @@ impl<'a, S: EventSource<ServeEvent>> ControlHost<'a> for ServeDriver<'a, S> {
         self.now
     }
 
-    /// Blocked until the node's worker registers.
-    fn node_view(&self, id: NodeId) -> NodeView {
-        let st = &self.nodes[id.index()];
-        let spec = self.cluster.node(id);
-        let now = self.now;
-        let running: Vec<RunningTaskView> = st
-            .running
-            .iter()
-            .map(|r| RunningTaskView {
-                task: r.rec.task,
-                speculative: false,
-                elapsed: now.since(r.rec.launched_at),
-                peak_mem: r.rec.peak_mem,
-                on_gpu: r.rec.used_gpu,
-            })
-            .collect();
-        let gpus_busy = st.running.iter().filter(|r| r.rec.used_gpu).count() as u32;
-        NodeView {
-            node: id,
-            executor_mem: st.executor_mem,
-            mem_in_use: st.mem_in_use,
-            free_mem: st.executor_mem.saturating_sub(st.mem_in_use),
-            cpu_util: (st.running.len() as f64 / spec.cores as f64).min(1.0),
-            net_util: st.net_util,
-            disk_util: st.disk_util,
-            gpus_idle: spec.gpus.saturating_sub(gpus_busy),
-            running,
-            blocked: !st.registered,
-            heartbeat_age: SimDuration::ZERO,
-            dead: false,
-            suspect: false,
-            tier: NodeTier::OnDemand,
-            draining: false,
-            preempt_risk: 0.0,
-        }
+    /// Busy cores and GPUs from the running attempts, NIC and disk from
+    /// the worker's heartbeats; blocked until the node's worker registers.
+    fn host_view(&self, view: &mut NodeView) {
+        let st = &self.nodes[view.node.index()];
+        let spec = self.cluster.node(view.node);
+        let gpus_busy = view.running.iter().filter(|r| r.on_gpu).count() as u32;
+        view.cpu_util = (view.running.len() as f64 / spec.cores as f64).min(1.0);
+        view.net_util = st.net_util;
+        view.disk_util = st.disk_util;
+        view.gpus_idle = spec.gpus.saturating_sub(gpus_busy);
+        view.blocked = !st.registered;
     }
 
-    fn running_on(&self, node: NodeId) -> Vec<(AttemptId, TaskRef)> {
-        (self.nodes[node.index()].running.iter())
-            .map(|r| (r.id, r.rec.task))
-            .collect()
-    }
-
-    fn kill_attempt(&mut self, node: NodeId, id: AttemptId) {
-        let nst = &mut self.nodes[node.index()];
-        let pos = (nst.running.iter())
-            .position(|r| r.id == id)
-            .expect("a listed attempt");
-        let entry = nst.running.remove(pos);
-        nst.mem_in_use = nst.mem_in_use.saturating_sub(entry.rec.peak_mem);
-        self.fail_attempt(entry, AttemptOutcome::NodeFaulted);
+    fn stop_attempt(&mut self, id: AttemptId, outcome: AttemptOutcome) {
+        self.fail_attempt(id, outcome);
     }
 
     /// The worker's reported utilisation resets with its slots.
     fn wipe(&mut self, node: NodeId) {
         let nst = &mut self.nodes[node.index()];
-        nst.mem_in_use = ByteSize::ZERO;
         nst.net_util = 0.0;
         nst.disk_util = 0.0;
     }

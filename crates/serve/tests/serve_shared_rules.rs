@@ -922,3 +922,151 @@ fn provisioning_a_spot_node_wakes_a_round() {
     // released at 3.5 ms, launched at 5.5 ms
     assert_eq!(report.dispatch_p50_us, 2_000);
 }
+
+/// Kills and launches every pending task on `NodeId(cluster.len())`, a
+/// node the cluster does not have, then launches it on node 0.
+struct Misaimed;
+
+impl Scheduler for Misaimed {
+    fn name(&self) -> &str {
+        "misaimed"
+    }
+
+    fn executor_memory(&self, cluster: &ClusterSpec, node: NodeId) -> ByteSize {
+        cluster.node(node).mem
+    }
+
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let nowhere = NodeId(input.cluster.len());
+        let launch = |task, node| Command::Launch {
+            task,
+            node,
+            use_gpu: false,
+            speculative: false,
+            reason: LaunchReason::FifoSlot,
+        };
+        (input.pending.iter())
+            .flat_map(|p| {
+                let reason = KillReason::MemoryStraggler;
+                [
+                    Command::KillAndRequeue {
+                        task: p.task,
+                        node: nowhere,
+                        reason,
+                    },
+                    launch(p.task, nowhere),
+                    launch(p.task, NodeId(0)),
+                ]
+            })
+            .collect()
+    }
+}
+
+/// Commands naming a node the cluster does not have are dropped, as the
+/// engine drops them: the kill finds no attempt, the launch counts as a
+/// dead-node drop, and the task runs where the next launch puts it.
+#[test]
+fn commands_to_an_unknown_node_are_dropped() {
+    let cluster = build_fleet(8);
+    let catalog = pressure_stream(1, 1);
+    let cfg = ServeConfig::default();
+    let log = vec![
+        worker(0, 0, WorkerReport::Register),
+        client(10, ClientRequest::Submit { job: JobId(0) }),
+        worker(
+            5_000,
+            0,
+            WorkerReport::Completed {
+                task: TASK,
+                attempt: 0,
+            },
+        ),
+        client(9_000, ClientRequest::Drain),
+    ];
+    let report = replay(&cluster, &catalog, &mut Misaimed, &cfg, &log).expect("replay runs");
+    assert!(report.clean, "{report:?}");
+    assert_eq!((report.launched, report.dead_launch_drops), (1, 1));
+}
+
+/// In each of its first two rounds with pending work, launches the first
+/// pending task five times: as a copy on node 0, on unregistered node 5,
+/// on spot node 7, on node 0, and on node 5 again.
+#[derive(Default)]
+struct Misfire {
+    rounds: usize,
+}
+
+impl Scheduler for Misfire {
+    fn name(&self) -> &str {
+        "misfire"
+    }
+
+    fn executor_memory(&self, cluster: &ClusterSpec, node: NodeId) -> ByteSize {
+        cluster.node(node).mem
+    }
+
+    fn offer_round(&mut self, input: &OfferInput<'_>) -> Vec<Command> {
+        let Some(p) = input.pending.first().filter(|_| self.rounds < 2) else {
+            return Vec::new();
+        };
+        self.rounds += 1;
+        let launch = |node, speculative| Command::Launch {
+            task: p.task,
+            node: NodeId(node),
+            use_gpu: false,
+            speculative,
+            reason: LaunchReason::FifoSlot,
+        };
+        vec![
+            launch(0, true),
+            launch(5, false),
+            launch(7, false),
+            launch(0, false),
+            launch(5, false),
+        ]
+    }
+}
+
+/// Every dropped launch counts under exactly one reason, checked stale
+/// first, then dead, autoscale and preempt; serve's refusal of copies
+/// comes before all four. The round at 0 ms finds spot node 7 outside
+/// the fleet; the 1 ms controller check provisions it and serves it a
+/// notice, so the round that provision wakes (2 ms) finds it draining.
+/// In each round the copy is refused, node 5 never registered, and the
+/// second launch on node 5 finds its task already running.
+#[test]
+fn dropped_launches_count_under_one_reason_each() {
+    let cluster = build_fleet(8);
+    let catalog = pressure_stream(1, 4);
+    let mut elastic = ElasticConfig::spot_tail(8, 1, SpotPolicy::Greedy);
+    elastic.check_secs = 1.0;
+    elastic.scale_up_backlog = 0.0;
+    elastic.scale_down_idle_secs = 1e5;
+    elastic.pools[0].preempt_base = 1.0;
+    elastic.pools[0].preempt_slope = 0.0;
+    elastic.pools[0].notice_secs = 20.0;
+    let mut cfg = ServeConfig {
+        tick: Duration::from_millis(1),
+        max_wall: Some(Duration::from_millis(10)),
+        ..ServeConfig::default()
+    };
+    cfg.sim.elastic = elastic;
+    let mut log = vec![client(0, ClientRequest::Submit { job: JobId(0) })];
+    log.extend(
+        (0..8)
+            .filter(|&n| n != 5)
+            .map(|n| worker(0, n, WorkerReport::Register)),
+    );
+    let mut probe = Misfire::default();
+    let report = replay(&cluster, &catalog, &mut probe, &cfg, &log).expect("replay runs");
+    assert_eq!(probe.rounds, 2);
+    assert_eq!(report.launched, 2, "{report:?}");
+    let drops = (
+        report.copy_launch_drops,
+        report.stale_launch_drops,
+        report.dead_launch_drops,
+        report.autoscale_launch_drops,
+        report.preempt_launch_drops,
+    );
+    assert_eq!(drops, (2, 2, 2, 1, 1), "{report:?}");
+}

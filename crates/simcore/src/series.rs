@@ -124,11 +124,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Final recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|p| p.1)
-    }
 }
 
 /// For each grid instant, the standard deviation of the values held by
